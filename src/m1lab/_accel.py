@@ -12,7 +12,7 @@ try:
     from numba import njit as _njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is the optional 'accel' extra
     _njit = None
     HAS_NUMBA = False
 

@@ -24,7 +24,6 @@ from .models import (
     sample_model,
 )
 from .paths import (
-    DimensionError,
     PathError,
     j1_distance,
     load_path_csv,
@@ -139,11 +138,13 @@ def _cmd_m1dist(args):
         print(f"j1={format(j1, '.17g')}")
         if x.dim == 1 and y.dim == 1:
             m1 = m1_distance(x, y, args.resolution)
+            weak_m1 = m1  # the product metric has a single factor when d = 1
         else:
             m1 = float("nan")
+            weak_m1 = weak_m1_distance(x, y, args.resolution)
         print(f"m1={format(m1, '.17g')}")
-        print(f"weak_m1={format(weak_m1_distance(x, y, args.resolution), '.17g')}")
-    except DimensionError as exc:
+        print(f"weak_m1={format(weak_m1, '.17g')}")
+    except PathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

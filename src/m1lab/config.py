@@ -148,7 +148,6 @@ class ExperimentConfig:
 def _parse_lines(text):
     section = None
     out = {}
-    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -167,7 +166,6 @@ def _parse_lines(text):
         if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key '{section}.{key}'")
         out[(section, key)] = (raw_val.strip(), lineno)
-        lines[(section, key)] = lineno
     return out
 
 

@@ -40,6 +40,7 @@ from .sumproc import (
     build_Ln,
     centering_constants,
     collapse_clusters,
+    grid_index,
     self_normalized_at,
 )
 from .stable import levy_marginal_draws, simulate_levy_pair, triple_from_cluster
@@ -117,24 +118,34 @@ def _analytic_setup(config):
     return spec, alpha, theta, cluster, triple
 
 
+def _replicate_values(spec, n, t_grid, replicates, base_seed, statistic):
+    """Stack ``statistic(x, idx)`` over replicate samples x drawn at
+    derive_seed(base_seed, rep), with idx = floor(n t) on the grid."""
+    idx = grid_index(n, t_grid)
+    return np.array(
+        [
+            statistic(sample_model(spec, n, derive_seed(base_seed, rep)).values, idx)
+            for rep in range(replicates)
+        ]
+    )
+
+
 def _partial_sum_marginals(spec, n, t_grid, replicates, base_seed, centered):
     """Replicate values of the normalized (sums, squared sums) at grid times."""
     a_n = an_theoretical(spec, n)
     const = centering_constants(spec, a_n, n) if centered else None
-    idx = np.minimum(np.floor(n * np.asarray(t_grid)).astype(int), n)
-    out1 = np.empty((replicates, len(t_grid)))
-    out2 = np.empty((replicates, len(t_grid)))
-    for rep in range(replicates):
-        x = sample_model(spec, n, derive_seed(base_seed, rep)).values
+
+    def sums(x, idx):
         s1 = np.concatenate([[0.0], np.cumsum(x / a_n)])
         s2 = np.concatenate([[0.0], np.cumsum((x / a_n) ** 2)])
         if const is not None:
             k = np.arange(n + 1)
             s1 = s1 - k * const.b1n
             s2 = s2 - k * const.b2n
-        out1[rep] = s1[idx]
-        out2[rep] = s2[idx]
-    return out1, out2, a_n
+        return s1[idx], s2[idx]
+
+    vals = _replicate_values(spec, n, t_grid, replicates, base_seed, sums)
+    return vals[:, 0], vals[:, 1], a_n
 
 
 def run_fidi_convergence(config):
@@ -218,17 +229,15 @@ def run_selfnorm_convergence(config):
         a_n = an_theoretical(spec, n)
         const = centering_constants(spec, a_n, n) if alpha >= 1.0 else None
         base = stream_seed(config.seed, f"selfnorm-n{n}")
-        vals = np.empty((config.replicates, t_grid.size))
-        for rep in range(config.replicates):
-            x = sample_model(spec, n, derive_seed(base, rep)).values
+
+        def ratios(x, idx):
             if const is None:
-                vals[rep] = self_normalized_at(x, t_grid)
-            else:
-                # centered numerator over the uncentered normalizer
-                s = np.concatenate([[0.0], np.cumsum(x)])
-                idx = np.minimum(np.floor(n * t_grid).astype(int), n)
-                vn = np.sqrt(np.sum(x * x))
-                vals[rep] = (s[idx] - idx * a_n * const.b1n) / vn
+                return self_normalized_at(x, t_grid)
+            # centered numerator over the uncentered normalizer
+            s = np.concatenate([[0.0], np.cumsum(x)])
+            return (s[idx] - idx * a_n * const.b1n) / np.sqrt(np.sum(x * x))
+
+        vals = _replicate_values(spec, n, t_grid, config.replicates, base, ratios)
         for j, t in enumerate(t_grid):
             ks = float(ks_2samp(vals[:, j], lim[:, j]).statistic)
             ks_by_n.setdefault(n, []).append(ks)
@@ -312,12 +321,6 @@ def run_j1_vs_m1_contrast(config):
         }
     )
     return res
-
-
-def _stratified_pareto_abs(alpha, size, rng):
-    """|X| draws with one uniform per stratum of (0,1); variance-reduced."""
-    u = (np.arange(size) + rng.random(size)) / size
-    return (1.0 - u) ** (-1.0 / alpha)
 
 
 def run_karamata_check(config):

@@ -178,10 +178,18 @@ def iid_cluster_law(spec):
     return singleton_cluster(rv.p)
 
 
-def _garch_burnin(spec):
-    # geometric-ergodicity heuristic; generous and configurable upstream
-    rate = min(spec.a1 + spec.b1, 0.99)
-    return max(1000, int(50.0 / (1.0 - rate)))
+def _garch_path(spec, n, seed, burnin):
+    """(X_k, sigma_k^2) for k = 1..n after a burn-in, from standard normal noise."""
+    if burnin is None:
+        # geometric-ergodicity heuristic; generous and configurable upstream
+        rate = min(spec.a1 + spec.b1, 0.99)
+        burn = max(1000, int(50.0 / (1.0 - rate)))
+    else:
+        burn = int(burnin)
+    z = _rng(seed).standard_normal(n + burn)
+    denom = 1.0 - (spec.a1 + spec.b1)
+    s0 = spec.omega / denom if denom > 0.0 else spec.omega
+    return kernels.garch_recursion(z, spec.omega, spec.a1, spec.b1, s0, burn)
 
 
 def sample_garch(spec, n, seed, burnin=None):
@@ -193,24 +201,13 @@ def sample_garch(spec, n, seed, burnin=None):
         warnings.warn(
             "a1 = b1 = 0 degenerates to i.i.d. scaled noise", UserWarning, stacklevel=2
         )
-    burn = _garch_burnin(spec) if burnin is None else int(burnin)
-    rng = _rng(seed)
-    z = rng.standard_normal(n + burn)
-    denom = 1.0 - (spec.a1 + spec.b1)
-    s0 = spec.omega / denom if denom > 0.0 else spec.omega
-    x, _sig2 = kernels.garch_recursion(z, spec.omega, spec.a1, spec.b1, s0, burn)
+    x, _sig2 = _garch_path(spec, n, seed, burnin)
     return SeriesSample(x, seed, spec)
 
 
 def sample_squared_garch(spec, n, seed, burnin=None):
     """Nonnegative vector series (X_k^2, sigma_k^2) of the inner GARCH."""
-    inner = spec.inner
-    burn = _garch_burnin(inner) if burnin is None else int(burnin)
-    rng = _rng(seed)
-    z = rng.standard_normal(n + burn)
-    denom = 1.0 - (inner.a1 + inner.b1)
-    s0 = inner.omega / denom if denom > 0.0 else inner.omega
-    x, sig2 = kernels.garch_recursion(z, inner.omega, inner.a1, inner.b1, s0, burn)
+    x, sig2 = _garch_path(spec.inner, n, seed, burnin)
     return SeriesSample(np.column_stack([x**2, sig2]), seed, spec)
 
 

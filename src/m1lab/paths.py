@@ -159,27 +159,6 @@ def uniform_distance(x, y):
     return float(best)
 
 
-@dataclass(frozen=True)
-class CompletedGraph:
-    """Completed graph of one coordinate: the path's graph with vertical
-    segments filled in at jumps, as a polyline monotone in time."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def jump_segments(self):
-        """(t, v_before, v_after) for each vertical (jump) segment."""
-        out = []
-        for i in range(self.times.size - 1):
-            if self.times[i] == self.times[i + 1]:
-                out.append((self.times[i], self.values[i], self.values[i + 1]))
-        return out
-
-
-def completed_graph_of(path, coord=0):
-    return CompletedGraph(*completed_graph(path, coord))
-
-
 def completed_graph(path, coord=0):
     """Vertices (t, v) of the completed graph of one coordinate.
 
@@ -367,11 +346,6 @@ def is_monotone_nondecreasing(path):
     return bool(np.all(np.diff(path.values, axis=0) >= 0.0))
 
 
-def _tau_parametrize(gt, gv):
-    tau = gt + gv
-    return tau
-
-
 def monotone_m1_distance(x, y):
     """Exact M1 distance between nondecreasing scalar paths.
 
@@ -389,8 +363,8 @@ def monotone_m1_distance(x, y):
         raise PreconditionError("monotone_m1_distance requires nondecreasing paths")
     pt, pv = completed_graph(x)
     qt, qv = completed_graph(y)
-    tau_p = _tau_parametrize(pt, pv)
-    tau_q = _tau_parametrize(qt, qv)
+    tau_p = pt + pv
+    tau_q = qt + qv
     grid = np.union1d(tau_p, tau_q)
     grid = np.union1d(grid, [tau_p[0], tau_p[-1], tau_q[0], tau_q[-1]])
     gp = np.clip(grid, tau_p[0], tau_p[-1])
@@ -560,7 +534,10 @@ def load_path_csv(fileobj_or_name):
             tok.split("=", 1) for tok in header.lstrip("#").split() if "=" in tok
         )
         kind = fields.get("kind", STEP)
-        dim = int(fields.get("d", "1"))
+        try:
+            dim = int(fields.get("d", "1"))
+        except ValueError:
+            raise PathError(f"header: d={fields['d']!r} is not an integer (row 1)") from None
         times = []
         vals = []
         for rownum, line in enumerate(f, start=2):

@@ -11,6 +11,7 @@ point * mark, the second sums the squares.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -310,34 +311,90 @@ def cms_sampler(params, m, seed):
     return c ** (1.0 / a) * x + tau
 
 
-def _poisson_points(rng, theta, alpha, n_draws, n_pts):
+class _Series(NamedTuple):
+    """Truncated LePage series of the limit pair for a batch of draws.
+
+    ``times``, ``jump1`` and ``jump2`` have shape batch + (n_pts,); ``u``
+    (the truncation level), ``drift1`` and ``drift2`` (the drift rates
+    subtracted per unit time) have shape ``batch``.  ``remainder_var`` is
+    the variance of the truncated remainder at t = 1 (0 for alpha < 1).
+    """
+
+    times: np.ndarray
+    jump1: np.ndarray
+    jump2: np.ndarray
+    u: np.ndarray
+    drift1: np.ndarray
+    drift2: np.ndarray
+    remainder_var: np.ndarray
+
+
+def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_correction):
+    """The series behind both samplers, with the RNG consumed in one order:
+    Poisson points, jump times, then cluster marks.
+
+    ``batch = ()`` draws a single series whose truncation level is a numpy
+    scalar, so its sd guard and drift corrections are scalar arithmetic,
+    except the mark drift rate, which always sees an array.  Scalar and
+    array ``**`` can differ in the last bit; these forms keep the bits the
+    two samplers have always produced.
+    """
+    if n_pts < 10**3:
+        raise StableError("n_pts >= 1e3 required")
+    a = triple.alpha
+    theta = triple.theta
+    rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
     # The mean measure of nu(dy) = theta*alpha*y^{-alpha-1} dy on (y, inf)
     # is theta * y^{-alpha}; pushing unit-rate Poisson arrivals Gamma_i
     # through its inverse y = (Gamma_i / theta)^{-1/alpha} therefore yields
     # exactly the points of the driving process, in decreasing order.
-    gam = np.cumsum(rng.exponential(size=(n_draws, n_pts)), axis=1)
-    pts = (gam / theta) ** (-1.0 / alpha)
-    times = rng.random((n_draws, n_pts))
-    return pts, times
+    shape = batch + (n_pts,)
+    gam = np.cumsum(rng.exponential(size=shape), axis=-1)
+    pts = (gam / theta) ** (-1.0 / a)
+    times = rng.random(shape)
+    marks = cluster.sample(rng, math.prod(shape)).reshape(shape + (-1,))
+    u = pts[..., -1][()]  # [()] turns the 0-d array of one series into a scalar
+    if small_tail_correction:
+        mean_sum, mean_sq = _cluster_mean_moments(cluster, a, marks)
+
+    if a >= 1.0:
+        var = theta * a * (triple.c_plus + triple.c_minus) * u ** (2.0 - a) / (2.0 - a)
+        sd = np.sqrt(var).max()
+        if sd > tail_sd_tol:
+            raise StableError(
+                f"series tail too heavy (remainder sd {sd:.3f} > {tail_sd_tol}); "
+                "increase n_pts"
+            )
+        keep = pts[..., None] * np.abs(marks) > u[..., None, None]
+        jump1 = pts * (marks * keep).sum(axis=-1)
+        drift1 = _mark_drift_rate(triple, np.atleast_1d(u)).reshape(np.shape(u))
+    else:
+        var = 0.0
+        jump1 = pts * marks.sum(axis=-1)
+        if small_tail_correction:
+            drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
+        else:
+            drift1 = np.zeros(np.shape(u))
+    jump2 = pts**2 * (marks**2).sum(axis=-1)
+    if small_tail_correction:
+        drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
+    else:
+        drift2 = np.zeros(np.shape(u))
+    return _Series(times, jump1, jump2, u, drift1, drift2, var)
 
 
-def _mark_drift_rate(triple):
-    """Rate of the mark-level compensator t * int_{u<|x|<=1} x mu(dx) at u,
-    returned as a callable of u; mu carries the marginal weights (p, q)."""
+def _mark_drift_rate(triple, u):
+    """Rate of the mark-level compensator t * int_{u<|x|<=1} x mu(dx) at u;
+    mu carries the marginal weights (p, q)."""
     a = triple.alpha
     diff = triple.p - triple.q
-
-    def rate(u):
-        uu = np.minimum(u, 1.0)
-        if a == 1.0:
-            return diff * np.log(1.0 / uu)
-        return diff * a * (uu ** (1.0 - a) - 1.0) / (a - 1.0)
-
-    return rate
+    uu = np.minimum(u, 1.0)
+    if a == 1.0:
+        return diff * np.log(1.0 / uu)
+    return diff * a * (uu ** (1.0 - a) - 1.0) / (a - 1.0)
 
 
-def _cluster_mean_moments(triple_cluster, alpha, marks=None):
-    cluster = triple_cluster
+def _cluster_mean_moments(cluster, alpha, marks):
     if cluster.is_deterministic:
         _cp, _cm, _r2, mean_sum, mean_sq, _sgn = cluster.exact_sum_moments(alpha)
         return mean_sum, mean_sq
@@ -366,46 +423,14 @@ def levy_marginal_draws(
     contribution is added back as a deterministic drift unless
     ``small_tail_correction`` is disabled.
     """
-    if n_pts < 10**3:
-        raise StableError("n_pts >= 1e3 required")
-    a = triple.alpha
-    theta = triple.theta
-    rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    s = _levy_series(
+        triple, cluster, (n_draws,), n_pts, seed, tail_sd_tol, small_tail_correction
+    )
     t_grid = np.asarray(t_grid, dtype=float)
-    pts, times = _poisson_points(rng, theta, a, n_draws, n_pts)
-    marks = cluster.sample(rng, n_draws * n_pts).reshape(n_draws, n_pts, -1)
-    u = pts[:, -1]
-
-    if a >= 1.0:
-        sd = np.sqrt(
-            theta * a * (triple.c_plus + triple.c_minus) * u ** (2.0 - a) / (2.0 - a)
-        ).max()
-        if sd > tail_sd_tol:
-            raise StableError(
-                f"series tail too heavy (remainder sd {sd:.3f} > {tail_sd_tol}); "
-                "increase n_pts"
-            )
-        keep = pts[:, :, None] * np.abs(marks) > u[:, None, None]
-        jump1 = pts * (marks * keep).sum(axis=2)
-        drift1 = _mark_drift_rate(triple)(u)
-    else:
-        jump1 = pts * marks.sum(axis=2)
-        if small_tail_correction:
-            mean_sum, _ = _cluster_mean_moments(cluster, a, marks)
-            drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
-        else:
-            drift1 = np.zeros(n_draws)
-    jump2 = pts**2 * (marks**2).sum(axis=2)
-    if small_tail_correction:
-        _, mean_sq = _cluster_mean_moments(cluster, a, marks)
-        drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
-    else:
-        drift2 = np.zeros(n_draws)
-
-    order = np.argsort(times, axis=1)
-    t_sorted = np.take_along_axis(times, order, axis=1)
-    c1 = np.cumsum(np.take_along_axis(jump1, order, axis=1), axis=1)
-    c2 = np.cumsum(np.take_along_axis(jump2, order, axis=1), axis=1)
+    order = np.argsort(s.times, axis=1)
+    t_sorted = np.take_along_axis(s.times, order, axis=1)
+    c1 = np.cumsum(np.take_along_axis(s.jump1, order, axis=1), axis=1)
+    c2 = np.cumsum(np.take_along_axis(s.jump2, order, axis=1), axis=1)
     l1 = np.empty((n_draws, t_grid.size))
     l2 = np.empty((n_draws, t_grid.size))
     for j, t in enumerate(t_grid):
@@ -413,9 +438,9 @@ def levy_marginal_draws(
         has = counts > 0
         l1[:, j] = np.where(has, c1[np.arange(n_draws), np.maximum(counts - 1, 0)], 0.0)
         l2[:, j] = np.where(has, c2[np.arange(n_draws), np.maximum(counts - 1, 0)], 0.0)
-        l1[:, j] -= t * drift1
-        l2[:, j] -= t * drift2
-    l2_total = c2[:, -1] - drift2
+        l1[:, j] -= t * s.drift1
+        l2[:, j] -= t * s.drift2
+    l2_total = c2[:, -1] - s.drift2
     return {"t_grid": t_grid, "l1": l1, "l2": l2, "l2_total": l2_total}
 
 
@@ -436,47 +461,16 @@ def simulate_levy_pair(
     emitted uncentered (nondecreasing); for alpha >= 1 the centered version
     subtracts t * meta['b2_shift'].
     """
-    if n_pts < 10**3:
-        raise StableError("n_pts >= 1e3 required")
+    s = _levy_series(triple, cluster, (), n_pts, seed, tail_sd_tol, small_tail_correction)
     a = triple.alpha
-    theta = triple.theta
-    rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    pts, times = _poisson_points(rng, theta, a, 1, n_pts)
-    marks = cluster.sample(rng, n_pts).reshape(1, n_pts, -1)
-    pts, times, marks = pts[0], times[0], marks[0]
-    u = pts[-1]
-    if a >= 1.0:
-        sd = math.sqrt(
-            theta * a * (triple.c_plus + triple.c_minus) * u ** (2.0 - a) / (2.0 - a)
-        )
-        if sd > tail_sd_tol:
-            raise StableError(
-                f"series tail too heavy (remainder sd {sd:.3f} > {tail_sd_tol}); "
-                "increase n_pts"
-            )
-        keep = pts[:, None] * np.abs(marks) > u
-        jump1 = pts * (marks * keep).sum(axis=1)
-        drift1 = float(_mark_drift_rate(triple)(np.array([u]))[0])
-    else:
-        jump1 = pts * marks.sum(axis=1)
-        if small_tail_correction:
-            mean_sum, _ = _cluster_mean_moments(cluster, a, marks[None, ...])
-            drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
-        else:
-            drift1 = 0.0
-    jump2 = pts**2 * (marks**2).sum(axis=1)
-    if small_tail_correction:
-        _, mean_sq = _cluster_mean_moments(cluster, a, marks[None, ...])
-        drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
-    else:
-        drift2 = 0.0
-
+    drift1 = float(s.drift1)
+    drift2 = float(s.drift2)
     grid = np.linspace(0.0, 1.0, drift_grid + 1)
-    all_times = np.union1d(times, grid)
-    order = np.argsort(times)
-    ts = times[order]
-    cs1 = np.cumsum(jump1[order])
-    cs2 = np.cumsum(jump2[order])
+    all_times = np.union1d(s.times, grid)
+    order = np.argsort(s.times)
+    ts = s.times[order]
+    cs1 = np.cumsum(s.jump1[order])
+    cs2 = np.cumsum(s.jump2[order])
     idx = np.searchsorted(ts, all_times, side="right")
     v1 = np.where(idx > 0, cs1[np.maximum(idx - 1, 0)], 0.0) - all_times * drift1
     v2 = np.where(idx > 0, cs2[np.maximum(idx - 1, 0)], 0.0) - all_times * drift2
@@ -485,15 +479,11 @@ def simulate_levy_pair(
         v1 = np.concatenate([[0.0], v1])
         v2 = np.concatenate([[0.0], v2])
     meta = {
-        "u_trunc": float(u),
+        "u_trunc": float(s.u),
         "b2_shift": a / (2.0 - a) if a >= 1.0 else 0.0,
         "l1_total": float(cs1[-1] - drift1),
         "l2_total": float(cs2[-1] - drift2),
-        "remainder_var": float(
-            theta * a * (triple.c_plus + triple.c_minus) * u ** (2.0 - a) / (2.0 - a)
-        )
-        if a >= 1.0
-        else 0.0,
+        "remainder_var": float(s.remainder_var),
     }
     return JointPathPair(
         l1=CadlagPath(all_times, v1, STEP),
@@ -501,7 +491,7 @@ def simulate_levy_pair(
         n=n_pts,
         a_n=float("nan"),
         centered=a >= 1.0,
-        u=float(u),
+        u=float(s.u),
         b1n=drift1,
         b2n=drift2,
     ), meta

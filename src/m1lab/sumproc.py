@@ -193,35 +193,35 @@ def truncate_Ln(pm, u):
     )
 
 
-def self_normalized_path(data, t_grid=None):
-    """Step path t -> S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2)."""
-    x = np.asarray(data, dtype=float)
-    n = x.size
-    v2 = float(np.sum(x * x))
-    if v2 == 0.0:
-        raise SumProcessError("self-normalization undefined: all observations are zero")
-    vn = np.sqrt(v2)
-    s = np.concatenate([[0.0], np.cumsum(x)]) / vn
-    if t_grid is None:
-        times = np.arange(n + 1) / n
-        return CadlagPath(times, s, STEP)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0.0:
-        t_grid = np.concatenate([[0.0], t_grid])
-    idx = np.floor(n * t_grid).astype(int)
-    return CadlagPath(t_grid, s[np.minimum(idx, n)], STEP)
+def grid_index(n, t_grid):
+    """Indices floor(n t) of the grid times, capped at n."""
+    return np.minimum(np.floor(n * np.asarray(t_grid, dtype=float)).astype(int), n)
 
 
-def self_normalized_at(data, t_grid):
-    """Values S_{floor(nt)} / V_n on a time grid (no path object)."""
+def _self_normalized(data, t_grid):
+    """S_{floor(nt)} / V_n on ``t_grid``, or at every t = k/n when it is None."""
     x = np.asarray(data, dtype=float)
-    n = x.size
     v2 = float(np.sum(x * x))
     if v2 == 0.0:
         raise SumProcessError("self-normalization undefined: all observations are zero")
     s = np.concatenate([[0.0], np.cumsum(x)]) / np.sqrt(v2)
-    idx = np.minimum(np.floor(n * np.asarray(t_grid, dtype=float)).astype(int), n)
-    return s[idx]
+    return s if t_grid is None else s[grid_index(x.size, t_grid)]
+
+
+def self_normalized_path(data, t_grid=None):
+    """Step path t -> S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2)."""
+    if t_grid is None:
+        s = _self_normalized(data, None)
+        return CadlagPath(np.arange(s.size) / (s.size - 1), s, STEP)
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid[0] != 0.0:
+        t_grid = np.concatenate([[0.0], t_grid])
+    return CadlagPath(t_grid, _self_normalized(data, t_grid), STEP)
+
+
+def self_normalized_at(data, t_grid):
+    """Values S_{floor(nt)} / V_n on a time grid (no path object)."""
+    return _self_normalized(data, t_grid)
 
 
 def collapse_clusters(path, scheme):

@@ -105,6 +105,27 @@ class TestM1DistCmd:
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["m1dist", str(tmp_path / "no.csv"), str(tmp_path / "no.csv")]) == 3
 
+    # (second path file, extra arguments, exit code); None leaves the file missing
+    EXIT_CASES = {
+        "valid_step_pair": ("# kind=step d=1\n0,0\n0.5,1\n", [], 0),
+        "missing_file": (None, [], 3),
+        "malformed_row": ("# kind=step d=1\n0,0\n0.5,abc\n", [], 2),
+        "non_integer_d": ("# kind=step d=x\n0,0\n0.5,1\n", [], 2),
+        "resolution_too_small": ("# kind=step d=1\n0,0\n0.5,1\n", ["--resolution", "4"], 2),
+        "mismatched_d": ("# kind=step d=2\n0,0,1\n0.5,1,1\n", [], 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_exit_codes(self, case, tmp_path, capsys):
+        text_b, extra, code = self.EXIT_CASES[case]
+        fa = tmp_path / "a.csv"
+        fb = tmp_path / "b.csv"
+        fa.write_text("# kind=step d=1\n0,0\n0.25,1\n0.5,0.5\n0.75,2\n")
+        if text_b is not None:
+            fb.write_text(text_b)
+        assert main(["m1dist", str(fa), str(fb)] + extra) == code
+        assert bool(capsys.readouterr().err) == (code != 0)
+
 
 class TestSimulateEstimate:
     def test_simulate_deterministic_csv(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from m1lab.models import (
     RegVarSpec,
     linear_cluster_law,
     linear_extremal_index,
+    model_positive_weight,
     sample_linear,
 )
 from m1lab.stable import (
@@ -277,3 +278,25 @@ class TestSeries:
         pair, meta = simulate_levy_pair(tr, cl, n_pts=1500, seed=3)
         assert meta["l1_total"] == pytest.approx(pair.l1.values[-1, 0], rel=1e-9)
         assert meta["l2_total"] == pytest.approx(pair.l2.values[-1, 0], rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.2, 1.5])
+    @pytest.mark.parametrize(
+        "coeffs,p", [((1.0,), 0.6), ((1.0, 0.5), 0.7), ((1.0, -0.6, 0.3), 0.5)]
+    )
+    def test_path_and_draws_share_one_series(self, alpha, coeffs, p):
+        # At one seed both samplers draw the same Poisson points and marks, so
+        # the path's totals are the single draw's values at t = 1.  Exact
+        # equality holds on these cases; the drifts are computed on a scalar
+        # by the path and on an array by the draws, and those two forms of
+        # ** can disagree in the last bit on other cases.
+        spec = LinearSpec(coeffs, RegVarSpec(alpha, p=p))
+        cl = linear_cluster_law(spec)
+        tr = triple_from_cluster(
+            alpha, linear_extremal_index(spec), cl, p=model_positive_weight(spec)
+        )
+        for seed in range(4):
+            pair, meta = simulate_levy_pair(tr, cl, n_pts=1000, seed=seed)
+            d = levy_marginal_draws(tr, cl, [1.0], 1, n_pts=1000, seed=seed)
+            assert meta["l1_total"] == d["l1"][0, 0]
+            assert pair.l1.values[-1, 0] == d["l1"][0, 0]
+            assert meta["l2_total"] == d["l2_total"][0]
