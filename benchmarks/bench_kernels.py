@@ -1,118 +1,167 @@
-"""Timing comparison of the jitted kernels against the pure-Python/numpy
-fallback path.
+"""Timings of the metric decision kernels and the GARCH recursion.
 
-Run:  python3 benchmarks/bench_kernels.py [--sizes 100 400 800]
+Run:  python3 benchmarks/bench_kernels.py [--sizes 100 400] [--repeat 3] [--record]
+
+The decision kernels are timed on two input shapes:
+
+- ``contrast``: the inputs of the contrast check at n = 1000 (clustered
+  MA(1), coeffs 1 and 0.5, alpha = 0.8, one replicate): the normalized
+  partial-sum path against its block-collapsed version, over every radius
+  its bisection visits.  ``size`` is the two inputs' vertex (frechet) or
+  jump (j1) counts, and the time is that of the whole set of decisions.
+- ``balanced``: two random step paths with ``size`` jumps each, at d = their
+  uniform distance, where the sweep runs to the end and answers True.
+
+Each time is the best of ``--repeat`` runs.  With ``--record`` every row is
+appended as one point to BENCH_kernels.json at the repository root, with
+the git commit of the measured source, the kernel route, the Python and
+numpy versions and the CPU count.  Compare points only when machine and
+route match.
 """
 
 import argparse
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
-from m1lab import kernels
-from m1lab._accel import HAS_NUMBA
+from m1lab import config, kernels, lab
 from m1lab.paths import CadlagPath, completed_graph, uniform_distance
 
-
-def random_step_path(rng, n_jumps):
-    times = np.sort(rng.random(n_jumps))
-    times = np.concatenate([[0.0], np.unique(times)])
-    vals = np.cumsum(rng.standard_normal(times.size))
-    return CadlagPath(times, vals, "step")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = os.path.join(ROOT, "BENCH_kernels.json")
+CONTRAST = ["model.variant=linear", "model.coeffs=1.0, 0.5", "model.alpha=0.8",
+            "run.contrast_n_grid=1000", "run.contrast_replicates=1"]
 
 
-def timed(fn, *args, repeat=3):
+def best_of(repeat, fn):
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = fn(*args)
+        fn()
         best = min(best, time.perf_counter() - t0)
-    return out, best
+    return best
 
 
-def bench_frechet(rng, n_jumps):
+def contrast_calls():
+    """Arguments of every decision the contrast check makes at n = 1000."""
+    calls = {"frechet_feasible": [], "j1_feasible": []}
+    originals = {name: getattr(kernels, name) for name in calls}
+
+    def recorder(name):
+        def record(*args):
+            calls[name].append(args)
+            return originals[name](*args)
+        return record
+
+    cfg, _ = config.parse_config("", overrides=CONTRAST)
+    try:
+        for name in calls:
+            setattr(kernels, name, recorder(name))
+        lab.run_j1_vs_m1_contrast(cfg)
+    finally:
+        for name, fn in originals.items():
+            setattr(kernels, name, fn)
+    return calls
+
+
+def bench_contrast(repeat):
+    rows = []
+    for name, calls in contrast_calls().items():
+        fn = getattr(kernels, name)
+        size = [len(calls[0][0]), len(calls[0][1 if name == "j1_feasible" else 2])]
+
+        def run():
+            for args in calls:
+                fn(*args)
+
+        rows.append((name, "contrast", size, len(calls), best_of(repeat, run)))
+    return rows
+
+
+def random_step_path(rng, n_jumps):
+    times = np.concatenate([[0.0], np.unique(rng.random(n_jumps))])
+    return CadlagPath(times, np.cumsum(rng.standard_normal(times.size)), "step")
+
+
+def bench_balanced(rng, n_jumps, repeat):
     x = random_step_path(rng, n_jumps)
     y = random_step_path(rng, n_jumps)
+    d = uniform_distance(x, y)
     pt, pv = completed_graph(x)
     qt, qv = completed_graph(y)
-    # radius at which the full sweep runs (corner checks pass, answer is True)
-    d = uniform_distance(x, y)
-    rows = []
-    if HAS_NUMBA:
-        jitted = kernels.frechet_feasible
-        if jitted is kernels.frechet_feasible_py:
-            from m1lab._accel import jit_always
-
-            jitted = jit_always(kernels.frechet_feasible_py)
-        jitted(pt, pv, qt, qv, d)  # compile outside the timing
-        _, t_jit = timed(jitted, pt, pv, qt, qv, d)
-        rows.append(("frechet_feasible", n_jumps, "numba", t_jit))
-    _, t_py = timed(kernels.frechet_feasible_py, pt, pv, qt, qv, d)
-    rows.append(("frechet_feasible", n_jumps, "python", t_py))
-    return rows
+    tx, sy = x.times[1:], y.times[1:]
+    levx, levy = x.values[:, 0], y.values[:, 0]
+    return [
+        ("frechet_feasible", "balanced", [n_jumps, n_jumps], 1,
+         best_of(repeat, lambda: kernels.frechet_feasible(pt, pv, qt, qv, d))),
+        ("j1_feasible", "balanced", [n_jumps, n_jumps], 1,
+         best_of(repeat, lambda: kernels.j1_feasible(tx, sy, levx, levy, d))),
+    ]
 
 
-def bench_j1(rng, n_jumps):
-    x = random_step_path(rng, n_jumps)
-    y = random_step_path(rng, n_jumps)
-    tx = x.times[1:]
-    sy = y.times[1:]
-    levx = x.values[:, 0]
-    levy_ = y.values[:, 0]
-    d = uniform_distance(x, y)
-    rows = []
-    if HAS_NUMBA:
-        jitted = kernels.j1_feasible
-        if jitted is kernels.j1_feasible_py:
-            from m1lab._accel import jit_always
-
-            jitted = jit_always(kernels.j1_feasible_py)
-        jitted(tx, sy, levx, levy_, d)
-        _, t_jit = timed(jitted, tx, sy, levx, levy_, d)
-        rows.append(("j1_feasible", n_jumps, "numba", t_jit))
-    _, t_py = timed(kernels.j1_feasible_py, tx, sy, levx, levy_, d)
-    rows.append(("j1_feasible", n_jumps, "python", t_py))
-    return rows
+def bench_garch(rng, n, repeat):
+    args = (rng.standard_normal(n + 1000), 1.0, 0.5, 0.3, 5.0, 1000)
+    return [("garch_recursion", "series", [n], 1,
+             best_of(repeat, lambda: kernels.garch_recursion(*args)))]
 
 
-def bench_garch(rng, n):
-    z = rng.standard_normal(n + 1000)
-    args = (z, 1.0, 0.5, 0.3, 5.0, 1000)
-    rows = []
-    if HAS_NUMBA:
-        jitted = kernels.garch_recursion
-        if jitted is kernels.garch_recursion_py:
-            from m1lab._accel import jit_always
+def source_commit():
+    """Commit of the checkout m1lab was imported from, and whether src/ differs."""
+    src = os.path.dirname(os.path.abspath(kernels.__file__))
 
-            jitted = jit_always(kernels.garch_recursion_py)
-        jitted(*args)
-        _, t_jit = timed(jitted, *args)
-        rows.append(("garch_recursion", n, "numba", t_jit))
-    _, t_py = timed(kernels.garch_recursion_py, *args)
-    rows.append(("garch_recursion", n, "python", t_py))
-    return rows
+    def git(*args):
+        out = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    return sha or "unknown", bool(git("status", "--porcelain", "--", "."))
 
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 400, 800])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 400])
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--record", action="store_true",
+                        help="append the rows to BENCH_kernels.json")
     args = parser.parse_args()
     rng = np.random.default_rng(0)
-    rows = []
+    rows = bench_contrast(args.repeat)
     for n in args.sizes:
-        rows += bench_frechet(rng, n)
-        rows += bench_j1(rng, n)
-    rows += bench_garch(rng, 200_000)
-    print(f"{'kernel':<20} {'size':>8} {'path':>8} {'seconds':>12} {'speedup':>9}")
-    by_key = {}
-    for name, size, path, sec in rows:
-        by_key.setdefault((name, size), {})[path] = sec
-    for name, size, path, sec in rows:
-        speed = ""
-        pair = by_key[(name, size)]
-        if path == "numba" and "python" in pair:
-            speed = f"{pair['python'] / sec:8.1f}x"
-        print(f"{name:<20} {size:>8} {path:>8} {sec:>12.6f} {speed:>9}")
+        rows += bench_balanced(rng, n, args.repeat)
+    rows += bench_garch(rng, 200_000, args.repeat)
+
+    route = "numba" if kernels.USE_NUMBA else "plain"
+    print(f"route {route}")
+    print(f"{'kernel':<18} {'inputs':<10} {'size':>12} {'decisions':>9} {'best s':>10}")
+    for name, inputs, size, calls, sec in rows:
+        print(f"{name:<18} {inputs:<10} {'x'.join(map(str, size)):>12} {calls:>9} {sec:>10.4f}")
+    if not args.record:
+        return
+    sha, dirty = source_commit()
+    env = {
+        "route": route,
+        "git_sha": sha,
+        "src_dirty": dirty,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    points = []
+    if os.path.exists(RECORD):
+        with open(RECORD) as f:
+            points = json.load(f)
+    for name, inputs, size, calls, sec in rows:
+        points.append({"kernel": name, "inputs": inputs, "size": size, "decisions": calls,
+                       "best_s": round(sec, 6), "repeat": args.repeat, **env})
+    with open(RECORD, "w") as f:
+        json.dump(points, f, indent=1)
+        f.write("\n")
+    print(f"appended {len(rows)} points to {RECORD}")
 
 
 if __name__ == "__main__":

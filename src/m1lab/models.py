@@ -180,6 +180,8 @@ def iid_cluster_law(spec):
 
 def _garch_path(spec, n, seed, burnin):
     """(X_k, sigma_k^2) for k = 1..n after a burn-in, from standard normal noise."""
+    if n < 1:
+        raise ModelError("need n >= 1")
     if burnin is None:
         # geometric-ergodicity heuristic; generous and configurable upstream
         rate = min(spec.a1 + spec.b1, 0.99)
@@ -193,8 +195,6 @@ def _garch_path(spec, n, seed, burnin):
 
 
 def sample_garch(spec, n, seed, burnin=None):
-    if n < 1:
-        raise ModelError("need n >= 1")
     if spec.a1 == 0.0 and spec.b1 == 0.0:
         import warnings
 

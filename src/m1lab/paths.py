@@ -484,27 +484,25 @@ def parametric_rep(path, resolution=512, coord=0):
 def rep_graph_violation(rep, path, coord=0):
     """Largest max-norm distance from representation samples to the graph."""
     gt, gv = completed_graph(path, coord)
+    c0 = np.stack([gt[:-1], gv[:-1]])
+    c1 = np.stack([gt[1:], gv[1:]])
+    samples = np.stack([rep.r, rep.u])
     worst = 0.0
-    for rt, ru in zip(rep.r, rep.u):
-        best = np.inf
-        for i in range(gt.size - 1):
-            lo, hi = kernels._free_point_seg(rt, ru, gt[i], gv[i], gt[i + 1], gv[i + 1], 0.0)
-            if lo <= hi:
-                best = 0.0
-                break
-            # distance to this segment under the max norm by local bisection
-            d_lo, d_hi = 0.0, max(abs(rt - gt[i]), abs(ru - gv[i]))
-            for _ in range(40):
-                mid = 0.5 * (d_lo + d_hi)
-                flo, fhi = kernels._free_point_seg(
-                    rt, ru, gt[i], gv[i], gt[i + 1], gv[i + 1], mid
-                )
-                if flo <= fhi:
-                    d_hi = mid
-                else:
-                    d_lo = mid
-            best = min(best, d_hi)
-        worst = max(worst, best)
+    for k in range(samples.shape[1]):
+        a = samples[:, k : k + 1]
+        lo, hi = kernels._free_point_seg(a, c0, c1, 0.0)
+        if np.any(lo <= hi):
+            continue
+        # distance to each segment under the max norm by local bisection
+        d_lo = np.zeros(gt.size - 1)
+        d_hi = np.abs(a - c0).max(axis=0)
+        for _ in range(40):
+            mid = 0.5 * (d_lo + d_hi)
+            flo, fhi = kernels._free_point_seg(a, c0, c1, mid)
+            inside = flo <= fhi
+            d_hi = np.where(inside, mid, d_hi)
+            d_lo = np.where(inside, d_lo, mid)
+        worst = max(worst, float(d_hi.min()))
     return worst
 
 

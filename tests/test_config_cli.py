@@ -105,22 +105,26 @@ class TestM1DistCmd:
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["m1dist", str(tmp_path / "no.csv"), str(tmp_path / "no.csv")]) == 3
 
-    # (second path file, extra arguments, exit code); None leaves the file missing
+    STEP_A = "# kind=step d=1\n0,0\n0.25,1\n0.5,0.5\n0.75,2\n"
+    PL_A = "# kind=pl d=1\n0,0\n0.3,1\n0.6,0.5\n1,1\n"
+    # (first path file, second path file, extra arguments, exit code); None
+    # leaves the second file missing
     EXIT_CASES = {
-        "valid_step_pair": ("# kind=step d=1\n0,0\n0.5,1\n", [], 0),
-        "missing_file": (None, [], 3),
-        "malformed_row": ("# kind=step d=1\n0,0\n0.5,abc\n", [], 2),
-        "non_integer_d": ("# kind=step d=x\n0,0\n0.5,1\n", [], 2),
-        "resolution_too_small": ("# kind=step d=1\n0,0\n0.5,1\n", ["--resolution", "4"], 2),
-        "mismatched_d": ("# kind=step d=2\n0,0,1\n0.5,1,1\n", [], 2),
+        "valid_step_pair": (STEP_A, "# kind=step d=1\n0,0\n0.5,1\n", [], 0),
+        "valid_pl_pair": (PL_A, "# kind=pl d=1\n0,0\n0.5,0.8\n1,1\n", ["--resolution", "256"], 0),
+        "missing_file": (STEP_A, None, [], 3),
+        "malformed_row": (STEP_A, "# kind=step d=1\n0,0\n0.5,abc\n", [], 2),
+        "non_integer_d": (STEP_A, "# kind=step d=x\n0,0\n0.5,1\n", [], 2),
+        "resolution_too_small": (STEP_A, "# kind=step d=1\n0,0\n0.5,1\n", ["--resolution", "4"], 2),
+        "mismatched_d": (STEP_A, "# kind=step d=2\n0,0,1\n0.5,1,1\n", [], 2),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
     def test_exit_codes(self, case, tmp_path, capsys):
-        text_b, extra, code = self.EXIT_CASES[case]
+        text_a, text_b, extra, code = self.EXIT_CASES[case]
         fa = tmp_path / "a.csv"
         fb = tmp_path / "b.csv"
-        fa.write_text("# kind=step d=1\n0,0\n0.25,1\n0.5,0.5\n0.75,2\n")
+        fa.write_text(text_a)
         if text_b is not None:
             fb.write_text(text_b)
         assert main(["m1dist", str(fa), str(fb)] + extra) == code

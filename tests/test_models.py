@@ -191,6 +191,16 @@ class TestGarch:
 
 
 class TestSquaredGarch:
+    @pytest.mark.parametrize("sampler", ["garch", "squared"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_n_below_one(self, sampler, n):
+        spec = GarchSpec(1.0, 0.5, 0.3)
+        with pytest.raises(ModelError, match="n >= 1"):
+            if sampler == "garch":
+                sample_garch(spec, n, seed=1)
+            else:
+                sample_squared_garch(SquaredGarchSpec(spec), n, seed=1)
+
     def test_nonnegative(self):
         s = sample_squared_garch(SquaredGarchSpec(GarchSpec(1.0, 0.5, 0.3)), 1000, seed=6)
         assert np.all(s.values >= 0.0)
