@@ -1,6 +1,6 @@
 """Timings of the metric decision kernels and the GARCH recursion.
 
-Run:  python3 benchmarks/bench_kernels.py [--sizes 100 400] [--repeat 3] [--record]
+Run:  python3 benchmarks/bench_kernels.py [--sizes 100 400] [--record]
 
 The decision kernels are timed on two input shapes:
 
@@ -12,7 +12,7 @@ The decision kernels are timed on two input shapes:
 - ``balanced``: two random step paths with ``size`` jumps each, at d = their
   uniform distance, where the sweep runs to the end and answers True.
 
-Each time is the best of ``--repeat`` runs.  With ``--record`` every row is
+Each time is the best of ``REPEAT`` runs.  With ``--record`` every row is
 appended as one point to BENCH_kernels.json at the repository root, with
 the git commit of the measured source, the kernel route, the Python and
 numpy versions and the CPU count.  Compare points only when machine and
@@ -35,11 +35,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORD = os.path.join(ROOT, "BENCH_kernels.json")
 CONTRAST = ["model.variant=linear", "model.coeffs=1.0, 0.5", "model.alpha=0.8",
             "run.contrast_n_grid=1000", "run.contrast_replicates=1"]
+REPEAT = 3
 
 
-def best_of(repeat, fn):
+def best_of(fn):
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -68,7 +69,7 @@ def contrast_calls():
     return calls
 
 
-def bench_contrast(repeat):
+def bench_contrast():
     rows = []
     for name, calls in contrast_calls().items():
         fn = getattr(kernels, name)
@@ -78,7 +79,7 @@ def bench_contrast(repeat):
             for args in calls:
                 fn(*args)
 
-        rows.append((name, "contrast", size, len(calls), best_of(repeat, run)))
+        rows.append((name, "contrast", size, len(calls), best_of(run)))
     return rows
 
 
@@ -87,7 +88,7 @@ def random_step_path(rng, n_jumps):
     return CadlagPath(times, np.cumsum(rng.standard_normal(times.size)), "step")
 
 
-def bench_balanced(rng, n_jumps, repeat):
+def bench_balanced(rng, n_jumps):
     x = random_step_path(rng, n_jumps)
     y = random_step_path(rng, n_jumps)
     d = uniform_distance(x, y)
@@ -97,16 +98,16 @@ def bench_balanced(rng, n_jumps, repeat):
     levx, levy = x.values[:, 0], y.values[:, 0]
     return [
         ("frechet_feasible", "balanced", [n_jumps, n_jumps], 1,
-         best_of(repeat, lambda: kernels.frechet_feasible(pt, pv, qt, qv, d))),
+         best_of(lambda: kernels.frechet_feasible(pt, pv, qt, qv, d))),
         ("j1_feasible", "balanced", [n_jumps, n_jumps], 1,
-         best_of(repeat, lambda: kernels.j1_feasible(tx, sy, levx, levy, d))),
+         best_of(lambda: kernels.j1_feasible(tx, sy, levx, levy, d))),
     ]
 
 
-def bench_garch(rng, n, repeat):
+def bench_garch(rng, n):
     args = (rng.standard_normal(n + 1000), 1.0, 0.5, 0.3, 5.0, 1000)
     return [("garch_recursion", "series", [n], 1,
-             best_of(repeat, lambda: kernels.garch_recursion(*args)))]
+             best_of(lambda: kernels.garch_recursion(*args)))]
 
 
 def source_commit():
@@ -124,17 +125,16 @@ def source_commit():
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--sizes", type=int, nargs="+", default=[100, 400])
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--record", action="store_true",
                         help="append the rows to BENCH_kernels.json")
     args = parser.parse_args()
     rng = np.random.default_rng(0)
-    rows = bench_contrast(args.repeat)
+    rows = bench_contrast()
     for n in args.sizes:
-        rows += bench_balanced(rng, n, args.repeat)
-    rows += bench_garch(rng, 200_000, args.repeat)
+        rows += bench_balanced(rng, n)
+    rows += bench_garch(rng, 200_000)
 
-    route = "numba" if kernels.USE_NUMBA else "plain"
+    route = "python"
     print(f"route {route}")
     print(f"{'kernel':<18} {'inputs':<10} {'size':>12} {'decisions':>9} {'best s':>10}")
     for name, inputs, size, calls, sec in rows:
@@ -157,7 +157,7 @@ def main():
             points = json.load(f)
     for name, inputs, size, calls, sec in rows:
         points.append({"kernel": name, "inputs": inputs, "size": size, "decisions": calls,
-                       "best_s": round(sec, 6), "repeat": args.repeat, **env})
+                       "best_s": round(sec, 6), "repeat": REPEAT, **env})
     with open(RECORD, "w") as f:
         json.dump(points, f, indent=1)
         f.write("\n")
