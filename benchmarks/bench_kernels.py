@@ -122,6 +122,32 @@ def source_commit():
     return sha or "unknown", bool(git("status", "--porcelain", "--", "."))
 
 
+def environment(route):
+    """The fields every recorded point carries besides its timings."""
+    sha, dirty = source_commit()
+    return {
+        "route": route,
+        "git_sha": sha,
+        "src_dirty": dirty,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+
+
+def append_points(record, new_points):
+    points = []
+    if os.path.exists(record):
+        with open(record) as f:
+            points = json.load(f)
+    points += new_points
+    with open(record, "w") as f:
+        json.dump(points, f, indent=1)
+        f.write("\n")
+    print(f"appended {len(new_points)} points to {record}")
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--sizes", type=int, nargs="+", default=[100, 400])
@@ -141,27 +167,12 @@ def main():
         print(f"{name:<18} {inputs:<10} {'x'.join(map(str, size)):>12} {calls:>9} {sec:>10.4f}")
     if not args.record:
         return
-    sha, dirty = source_commit()
-    env = {
-        "route": route,
-        "git_sha": sha,
-        "src_dirty": dirty,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    points = []
-    if os.path.exists(RECORD):
-        with open(RECORD) as f:
-            points = json.load(f)
-    for name, inputs, size, calls, sec in rows:
-        points.append({"kernel": name, "inputs": inputs, "size": size, "decisions": calls,
-                       "best_s": round(sec, 6), "repeat": REPEAT, **env})
-    with open(RECORD, "w") as f:
-        json.dump(points, f, indent=1)
-        f.write("\n")
-    print(f"appended {len(rows)} points to {RECORD}")
+    env = environment(route)
+    append_points(RECORD, [
+        {"kernel": name, "inputs": inputs, "size": size, "decisions": calls,
+         "best_s": round(sec, 6), "repeat": REPEAT, **env}
+        for name, inputs, size, calls, sec in rows
+    ])
 
 
 if __name__ == "__main__":

@@ -1,0 +1,88 @@
+"""Per-check wall times of the full suite, ``lab.run_full_suite``.
+
+Run:  python3 benchmarks/bench_suite.py [--full] [--record]
+
+Configs:
+
+- ``determinism``: ``SUITE_CFG`` of ``tests/test_acceptance.py``, the
+  config whose bundle must stay byte-identical across refactors;
+- ``suite-desk-iid``, ``suite-desk-clustered``, ``suite-desk-centered``:
+  the three models of the ``suite-desk`` benchmark workload (default
+  config, seed 20240503, contrast cut to n = 100 with 2 replicates);
+- ``default`` (only with ``--full``, about a minute per run): the default
+  config.
+
+Each config runs ``REPEAT`` times, writing its bundle to a temporary
+directory as ``m1lab suite`` does.  A check's time is the best of its
+``REPEAT`` runtimes as the suite reports them, and ``total_s`` is the best
+wall time of the whole call, bundle writing included.  With ``--record``
+one point per config is appended to BENCH_suite.json at the repository
+root, with the same environment fields as BENCH_kernels.json.  Compare
+points only when machine and route match.
+"""
+
+import argparse
+import os
+import sys
+import tempfile
+import time
+
+from bench_kernels import REPEAT, ROOT, append_points, environment
+from m1lab import config, lab
+
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+from test_acceptance import SUITE_CFG  # noqa: E402
+
+RECORD = os.path.join(ROOT, "BENCH_suite.json")
+DESK = ["run.seed=20240503", "run.contrast_n_grid=100", "run.contrast_replicates=2"]
+CONFIGS = [
+    ("determinism", SUITE_CFG, []),
+    ("suite-desk-iid", "", DESK),
+    ("suite-desk-clustered", "", DESK + ["model.variant=linear", "model.coeffs=1.0, 0.5"]),
+    ("suite-desk-centered", "", DESK + ["model.alpha=1.5"]),
+]
+FULL = [("default", "", [])]
+
+
+def bench(text, overrides):
+    """Best-of-REPEAT seconds per check, and of the whole suite call."""
+    cfg, _ = config.parse_config(text, overrides=overrides)
+    checks = {}
+    total = float("inf")
+    for _ in range(REPEAT):
+        with tempfile.TemporaryDirectory() as outdir:
+            t0 = time.perf_counter()
+            report = lab.run_full_suite(cfg, outdir=outdir)
+            total = min(total, time.perf_counter() - t0)
+        for name, sec in report.runtime.items():
+            checks[name] = min(checks.get(name, float("inf")), sec)
+    return checks, total
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--full", action="store_true", help="also run the default config")
+    parser.add_argument("--record", action="store_true",
+                        help="append the points to BENCH_suite.json")
+    args = parser.parse_args()
+    rows = [(label, *bench(text, sets))
+            for label, text, sets in CONFIGS + (FULL if args.full else [])]
+
+    route = "python"
+    names = list(rows[0][1])
+    print(f"route {route}; best of {REPEAT} runs, seconds")
+    print(f"{'config':<22}" + "".join(f"{n:>12}" for n in names) + f"{'total':>10}")
+    for label, checks, total in rows:
+        print(f"{label:<22}" + "".join(f"{checks[n]:>12.3f}" for n in names) + f"{total:>10.3f}")
+    if not args.record:
+        return
+    env = environment(route)
+    append_points(RECORD, [
+        {"config": label, "checks": {n: round(s, 4) for n, s in checks.items()},
+         "total_s": round(total, 4), "repeat": REPEAT, **env}
+        for label, checks, total in rows
+    ])
+
+
+if __name__ == "__main__":
+    main()

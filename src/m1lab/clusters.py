@@ -62,7 +62,7 @@ class ClusterDistribution:
     def sample(self, rng, size):
         """Draw ``size`` clusters as a (size, width) array of marks."""
         if self.is_deterministic:
-            signs = np.where(rng.random(size) < self.p, 1.0, -1.0)
+            signs = 1.0 - 2.0 * (rng.random(size) >= self.p)
             return signs[:, None] * self.shape[None, :]
         idx = rng.integers(0, self.pool.shape[0], size=size)
         return self.pool[idx]

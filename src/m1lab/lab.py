@@ -136,13 +136,13 @@ def _partial_sum_marginals(spec, n, t_grid, replicates, base_seed, centered):
     const = centering_constants(spec, a_n, n) if centered else None
 
     def sums(x, idx):
-        s1 = np.concatenate([[0.0], np.cumsum(x / a_n)])
-        s2 = np.concatenate([[0.0], np.cumsum((x / a_n) ** 2)])
+        y = x / a_n
+        s1 = np.concatenate([[0.0], np.cumsum(y)])[idx]
+        s2 = np.concatenate([[0.0], np.cumsum(np.square(y, out=y))])[idx]
         if const is not None:
-            k = np.arange(n + 1)
-            s1 = s1 - k * const.b1n
-            s2 = s2 - k * const.b2n
-        return s1[idx], s2[idx]
+            s1 = s1 - idx * const.b1n
+            s2 = s2 - idx * const.b2n
+        return s1, s2
 
     vals = _replicate_values(spec, n, t_grid, replicates, base_seed, sums)
     return vals[:, 0], vals[:, 1], a_n
@@ -323,6 +323,50 @@ def run_j1_vs_m1_contrast(config):
     return res
 
 
+def _karamata_sums(rng, alpha, a_n, u_grid, total):
+    """Sums over ``total`` stratified unit-Pareto magnitudes of those at most
+    u a_n, and of their squares, per u of the grid.
+
+    Stratum k draws (k + U) / total and maps it through the Pareto
+    quantile.  Each chunk of strata is built once, in reused buffers; a cap
+    at or above the chunk's largest magnitude keeps every value in order,
+    so it takes the chunk's full sums, and only smaller caps mask.
+    """
+    chunk = min(10**6, total)
+    strata = np.arange(chunk, dtype=float)
+    mag_buf = np.empty(chunk)
+    sq_buf = np.empty(chunk)
+    sums1 = {u: 0.0 for u in u_grid}
+    sums2 = {u: 0.0 for u in u_grid}
+    done = 0
+    while done < total:
+        m = min(chunk, total - done)
+        mag = mag_buf[:m]
+        sq = sq_buf[:m]
+        rng.random(out=mag)
+        # ((done + k) + U) / total, rounded in the order it always was
+        np.add(strata[:m], done, out=sq)
+        np.add(sq, mag, out=mag)
+        np.divide(mag, total, out=mag)
+        np.subtract(1.0, mag, out=mag)
+        np.power(mag, -1.0 / alpha, out=mag)
+        np.square(mag, out=sq)
+        top = mag.max()
+        full1 = float(mag.sum())
+        full2 = float(sq.sum())
+        for u in u_grid:
+            cap = u * a_n
+            if cap >= top:
+                sums1[u] += full1
+                sums2[u] += full2
+            else:
+                kept = mag <= cap
+                sums1[u] += float(mag[kept].sum())
+                sums2[u] += float(sq[kept].sum())
+        done += m
+    return sums1, sums2
+
+
 def run_karamata_check(config):
     """Monte Carlo truncated moments against their closed-form limits.
 
@@ -338,21 +382,8 @@ def run_karamata_check(config):
     for alpha in config.karamata_alphas:
         rng = np.random.default_rng(stream_seed(config.seed, f"karamata-{alpha}"))
         a_n = n ** (1.0 / alpha)
-        chunk = 10**6
         total = config.karamata_mc
-        sums1 = {u: 0.0 for u in config.karamata_u_grid}
-        sums2 = {u: 0.0 for u in config.karamata_u_grid}
-        done = 0
-        while done < total:
-            m = min(chunk, total - done)
-            u_strat = (done + np.arange(m) + rng.random(m)) / total
-            mag = (1.0 - u_strat) ** (-1.0 / alpha)
-            for u in config.karamata_u_grid:
-                cap = u * a_n
-                kept = mag[mag <= cap]
-                sums1[u] += float(kept.sum())
-                sums2[u] += float((kept**2).sum())
-            done += m
+        sums1, sums2 = _karamata_sums(rng, alpha, a_n, config.karamata_u_grid, total)
         for u in config.karamata_u_grid:
             est1 = n * (sums1[u] / total) / a_n
             est2 = n * (sums2[u] / total) / (a_n * a_n)
@@ -565,7 +596,7 @@ def write_bundle(report, config, outdir):
     with open(os.path.join(outdir, "manifest.json"), "w") as f:
         f.write(_render_json(manifest) + "\n")
 
-    _write_sample_paths(config, paths_dir)
+    paths_note = _write_sample_paths(config, paths_dir)
 
     with open(os.path.join(outdir, "summary.txt"), "w") as f:
         f.write(f"# {report.header}\n")
@@ -576,6 +607,8 @@ def write_bundle(report, config, outdir):
                 f.write(f"{'PASS' if ok else 'FAIL'}  {res.check}.{name}\n")
             for note in res.notes:
                 f.write(f"note: {res.check}: {note}\n")
+        if paths_note is not None:
+            f.write(f"note: paths: {paths_note}\n")
         f.write("\n# runtime (seconds; excluded from reproducibility contract)\n")
         for name, sec in report.runtime.items():
             f.write(f"{name}: {sec:.2f}\n")
@@ -591,13 +624,14 @@ def _version_record():
 
 
 def _write_sample_paths(config, paths_dir):
+    """Write the plotting paths; return why they were not written, or None."""
     from .sumproc import save_joint_csv
 
     spec = config.model
     try:
         alpha = model_alpha(spec)
-    except Exception:
-        return
+    except Exception as exc:
+        return f"no sample paths: {type(exc).__name__}: {exc}"
     n = min(config.n_grid)
     try:
         x = sample_model(spec, n, stream_seed(config.seed, "paths")).values
@@ -608,8 +642,8 @@ def _write_sample_paths(config, paths_dir):
         )
         pair = build_Ln(x, a_n)
         save_joint_csv(pair, os.path.join(paths_dir, "partial_sums.csv"))
-    except Exception:
-        return
+    except Exception as exc:
+        return f"partial_sums.csv not written: {type(exc).__name__}: {exc}"
     if isinstance(spec, (IidSpec, LinearSpec)):
         theta = model_extremal_index(spec)
         cluster = model_cluster_law(spec)
@@ -618,3 +652,4 @@ def _write_sample_paths(config, paths_dir):
             triple, cluster, n_pts=config.n_pts, seed=stream_seed(config.seed, "limitpath")
         )
         save_joint_csv(pair, os.path.join(paths_dir, "limit_pair.csv"))
+    return None

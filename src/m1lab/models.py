@@ -114,7 +114,7 @@ def derive_seed(base, index):
 
 def _pareto_draws(rv, n, rng):
     mag = (1.0 - rng.random(n)) ** (-1.0 / rv.alpha)
-    sign = np.where(rng.random(n) < rv.p, 1.0, -1.0)
+    sign = 1.0 - 2.0 * (rng.random(n) >= rv.p)
     return rv.scale * mag * sign
 
 

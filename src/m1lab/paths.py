@@ -224,15 +224,15 @@ class M1Result:
 
 
 def _bisect_metric(feasible, lo, hi, tol):
+    """Bisect [lo, hi] down to ``tol``, with hi the uniform distance.
+
+    M1 <= J1 <= uniform, so hi is an upper end by theorem and is not asked
+    of ``feasible``: at exactly that radius the decision can round to False
+    by one ulp.
+    """
     if hi <= lo + tol:
         return M1Result(hi, lo, hi, hi, tol)
     hi0 = hi
-    if not feasible(hi):
-        # uniform bound should always be feasible; widen defensively
-        while not feasible(hi):
-            hi *= 2.0
-            if hi > 1e12:
-                raise PathError("feasibility search failed to bracket the distance")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

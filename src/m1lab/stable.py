@@ -427,14 +427,17 @@ def levy_marginal_draws(
         triple, cluster, (n_draws,), n_pts, seed, tail_sd_tol, small_tail_correction
     )
     t_grid = np.asarray(t_grid, dtype=float)
+    # one flat gather per coordinate: row r's sorted jumps sit at flat
+    # offsets r * n_pts + order[r]
     order = np.argsort(s.times, axis=1)
-    t_sorted = np.take_along_axis(s.times, order, axis=1)
-    c1 = np.cumsum(np.take_along_axis(s.jump1, order, axis=1), axis=1)
-    c2 = np.cumsum(np.take_along_axis(s.jump2, order, axis=1), axis=1)
+    order += np.arange(n_draws)[:, None] * n_pts
+    c1 = np.cumsum(np.take(s.jump1, order), axis=1)
+    c2 = np.cumsum(np.take(s.jump2, order), axis=1)
     l1 = np.empty((n_draws, t_grid.size))
     l2 = np.empty((n_draws, t_grid.size))
     for j, t in enumerate(t_grid):
-        counts = (t_sorted <= t).sum(axis=1)
+        # a row's times are the same multiset sorted or not
+        counts = np.count_nonzero(s.times <= t, axis=1)
         has = counts > 0
         l1[:, j] = np.where(has, c1[np.arange(n_draws), np.maximum(counts - 1, 0)], 0.0)
         l2[:, j] = np.where(has, c2[np.arange(n_draws), np.maximum(counts - 1, 0)], 0.0)

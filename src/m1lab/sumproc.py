@@ -204,8 +204,10 @@ def _self_normalized(data, t_grid):
     v2 = float(np.sum(x * x))
     if v2 == 0.0:
         raise SumProcessError("self-normalization undefined: all observations are zero")
-    s = np.concatenate([[0.0], np.cumsum(x)]) / np.sqrt(v2)
-    return s if t_grid is None else s[grid_index(x.size, t_grid)]
+    s = np.concatenate([[0.0], np.cumsum(x)])
+    if t_grid is not None:
+        s = s[grid_index(x.size, t_grid)]
+    return s / np.sqrt(v2)
 
 
 def self_normalized_path(data, t_grid=None):

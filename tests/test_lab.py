@@ -207,6 +207,38 @@ class TestSuite:
         assert fidi.verdicts == {"completed": False}
         assert any("error" in note for note in fidi.notes)
 
+    def _empty_report(self, cfg):
+        return lab.ConvergenceReport(
+            header=lab.REPORT_HEADER, config_digest=cfg.digest(), seed=cfg.seed
+        )
+
+    def test_paths_note_without_tail_index(self, tmp_path):
+        # a light-tailed GARCH: the moment equation has no root, so no
+        # sample paths can be normalized
+        cfg = small_config(model=GarchSpec(1.0, 0.05, 0.9))
+        lab.write_bundle(self._empty_report(cfg), cfg, str(tmp_path))
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "note: paths: no sample paths: ModelError: no sign change" in summary
+        assert list((tmp_path / "paths").iterdir()) == []
+
+    def test_paths_note_on_failure(self, tmp_path, monkeypatch):
+        def fail(x, a_n):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(lab, "build_Ln", fail)
+        cfg = small_config()
+        lab.write_bundle(self._empty_report(cfg), cfg, str(tmp_path))
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "note: paths: partial_sums.csv not written: RuntimeError: forced\n" in summary
+        assert list((tmp_path / "paths").iterdir()) == []
+
+    def test_no_paths_note_when_written(self, tmp_path):
+        cfg = small_config()
+        lab.write_bundle(self._empty_report(cfg), cfg, str(tmp_path))
+        assert "note: paths" not in (tmp_path / "summary.txt").read_text()
+        names = sorted(p.name for p in (tmp_path / "paths").iterdir())
+        assert names == ["limit_pair.csv", "partial_sums.csv"]
+
     def test_thresholds_come_from_config(self):
         tight = small_config(tolerances={"ks_fidi": 1e-9})
         loose = small_config(tolerances={"ks_fidi": 1.0})

@@ -1,0 +1,88 @@
+"""The Monte Carlo loops give the same bits as the forms they replaced.
+
+``mc_oracle`` holds the former Karamata chunk loop, the ``np.where`` sign
+draws and the ``take_along_axis`` gather of the Lévy marginal draws.  The
+new forms skip masks, sorts and branches but keep every RNG draw and every
+summation order, so the only acceptable difference is none.
+"""
+
+import numpy as np
+import pytest
+
+import mc_oracle as oracle
+from m1lab import lab, stable
+from m1lab.clusters import ClusterDistribution
+from m1lab.config import default_config, replace_config
+from m1lab.models import IidSpec, LinearSpec, RegVarSpec, _pareto_draws
+
+
+class TestKaramataSums:
+    # 2.5e6 strata leave a half chunk at the end.  At n = 10 and alpha =
+    # 0.5 the cap 0.05 a_n = 5 cuts the second of the three chunks, so the
+    # masked branch runs before the last chunk; the cap at u = 1e9 lies
+    # above every chunk, the last one included.
+    @pytest.mark.parametrize(
+        "mc,n", [(2_500_000, 10), (2_500_000, 1000), (2_500_000, 10**6), (1000, 10)]
+    )
+    def test_rows_equal_former_loop(self, monkeypatch, mc, n):
+        cfg = replace_config(
+            default_config(),
+            karamata_alphas=(0.5, 0.8),
+            karamata_u_grid=(0.05, 0.5, 1.0, 1e9),
+            karamata_n=n,
+            karamata_mc=mc,
+            seed=20240503 + n,
+        )
+        rows = lab.run_karamata_check(cfg).rows
+        monkeypatch.setattr(lab, "_karamata_sums", oracle.karamata_sums)
+        assert rows == lab.run_karamata_check(cfg).rows
+
+
+class TestSignDraws:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_pareto_draws(self, p):
+        rv = RegVarSpec(0.8, p=p, scale=1.5)
+        rng_new = np.random.default_rng(11)
+        rng_old = np.random.default_rng(11)
+        got = _pareto_draws(rv, 10**4, rng_new)
+        want = oracle.pareto_draws(rv, 10**4, rng_old)
+        assert got.tobytes() == want.tobytes()
+        assert rng_new.random() == rng_old.random()
+
+    @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+    def test_cluster_sample_shape(self, p):
+        cluster = ClusterDistribution(p=p, shape=np.array([1.0, 0.5, -0.25]))
+        rng_new = np.random.default_rng(12)
+        rng_old = np.random.default_rng(12)
+        got = cluster.sample(rng_new, 5000)
+        want = oracle.cluster_sample(cluster, rng_old, 5000)
+        assert got.tobytes() == want.tobytes()
+        assert rng_new.random() == rng_old.random()
+
+    def test_cluster_sample_pool(self):
+        cluster = ClusterDistribution(pool=np.array([[1.0, 0.5], [-2.0, 0.0], [0.3, 0.6]]))
+        got = cluster.sample(np.random.default_rng(13), 5000)
+        want = oracle.cluster_sample(cluster, np.random.default_rng(13), 5000)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestLevyMarginalDraws:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            IidSpec(RegVarSpec(0.8, p=0.5)),
+            LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=0.5)),
+            IidSpec(RegVarSpec(1.5, p=0.7)),
+        ],
+    )
+    def test_draws_equal_former_gather(self, spec):
+        _spec, _alpha, _theta, cluster, triple = lab._analytic_setup(
+            replace_config(default_config(), model=spec)
+        )
+        t_grid = [0.0, 1e-4, 0.25, 0.5, 1.0]
+        got = stable.levy_marginal_draws(triple, cluster, t_grid, 300, n_pts=1000, seed=5)
+        series = stable._levy_series(triple, cluster, (300,), 1000, 5, 0.75, True)
+        want = oracle.marginal_draws(series, t_grid)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key

@@ -32,9 +32,16 @@ from m1lab.paths import (
     weak_m1_distance,
 )
 from conftest import make_step_path
+from m1lab import kernels
 
 STEP_05 = CadlagPath([0.0, 0.5], [0.0, 1.0])
 STEP_055 = CadlagPath([0.0, 0.55], [0.0, 1.0])
+# M1 equals the uniform distance (the gap at t = 0.5), and the free-space
+# decision at exactly that radius rounds to False by one ulp
+PL_AT_UNIFORM = (
+    CadlagPath([0.0, 0.5, 1.0], [66.02839825383293, -6.999349756108769, 73.78689018850021], PL),
+    CadlagPath([0.0, 0.5, 1.0], [48.27474055436402, 29.449214867733257, 64.53892013106199], PL),
+)
 
 
 class TestConstruction:
@@ -212,6 +219,12 @@ class TestWeakM1:
         assert a == pytest.approx(0.05, abs=1e-3)
 
 
+def _grid_path(rng, grid, scale, kind):
+    """Up to 12 knots on the times k / grid, normal values times scale."""
+    t = np.unique(np.concatenate([[0.0], rng.integers(1, grid + 1, 12) / grid]))
+    return CadlagPath(t, rng.normal(size=t.size) * scale, kind)
+
+
 class TestMetricProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -228,6 +241,35 @@ class TestMetricProperties:
         slack = 1e-6 + dxy.tol + dyz.tol + dxz.tol
         assert dxz.value <= dxy.value + dyz.value + slack
         assert m1_distance(x, x) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([STEP, PL]),
+        st.sampled_from([STEP, PL]),
+    )
+    def test_bracket_within_uniform(self, seed, kind_x, kind_y):
+        # knots on a shared coarse grid make common breakpoint times, where
+        # the distance can equal the uniform one
+        rng = np.random.default_rng(seed)
+        grid = int(rng.integers(2, 40))
+        scale = 10.0 ** rng.uniform(0.0, 4.0)
+        x = _grid_path(rng, grid, scale, kind_x)
+        y = _grid_path(rng, grid, scale, kind_y)
+        res = m1_distance_detailed(x, y)
+        assert res.lower <= res.value <= res.upper <= res.uniform_bound
+        assert res.uniform_bound == uniform_distance(x, y)
+        if kind_x == kind_y == STEP:
+            assert j1_distance(x, y) <= uniform_distance(x, y)
+
+    def test_bracket_at_uniform_rounding(self):
+        x, y = PL_AT_UNIFORM
+        unif = uniform_distance(x, y)
+        pt, pv = completed_graph(x)
+        qt, qv = completed_graph(y)
+        assert not kernels.frechet_feasible(pt, pv, qt, qv, unif)
+        res = m1_distance_detailed(x, y)
+        assert res.lower <= res.value <= res.upper <= res.uniform_bound == unif
 
     def test_ramp_collapse_phenomenon(self):
         # many small same-direction jumps collapse to one in the graph metric
