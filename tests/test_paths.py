@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m1lab import kernels
 from m1lab.paths import (
     PL,
     STEP,
@@ -32,7 +33,6 @@ from m1lab.paths import (
     weak_m1_distance,
 )
 from conftest import make_step_path
-from m1lab import kernels
 
 STEP_05 = CadlagPath([0.0, 0.5], [0.0, 1.0])
 STEP_055 = CadlagPath([0.0, 0.55], [0.0, 1.0])
