@@ -1,4 +1,5 @@
-"""Timings of the metric decision kernels and the GARCH recursion.
+"""Timings of the metric decision kernels, the GARCH recursion and the Lévy
+marginal draws.
 
 Run:  python3 benchmarks/bench_kernels.py [--sizes 100 400] [--record]
 
@@ -11,6 +12,11 @@ The decision kernels are timed on two input shapes:
   jump (j1) counts, and the time is that of the whole set of decisions.
 - ``balanced``: two random step paths with ``size`` jumps each, at d = their
   uniform distance, where the sweep runs to the end and answers True.
+
+``levy_marginal_draws`` is timed at the suite's size, 2000 draws of 2000
+Poisson points on the default time grid, for the default iid model and the
+clustered MA(1) (coeffs 1 and 0.5); its row also gives the peak of the
+memory numpy allocates during one call, as tracemalloc reports it.
 
 Each time is the best of ``REPEAT`` runs.  With ``--record`` every row is
 appended as one point to BENCH_kernels.json at the repository root, with
@@ -25,16 +31,18 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
-from m1lab import config, kernels, lab
+from m1lab import config, kernels, lab, stable
 from m1lab.paths import CadlagPath, completed_graph, uniform_distance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORD = os.path.join(ROOT, "BENCH_kernels.json")
 CONTRAST = ["model.variant=linear", "model.coeffs=1.0, 0.5", "model.alpha=0.8",
             "run.contrast_n_grid=1000", "run.contrast_replicates=1"]
+LEVY_MODELS = [("iid", []), ("clustered", ["model.variant=linear", "model.coeffs=1.0, 0.5"])]
 REPEAT = 3
 
 
@@ -110,6 +118,32 @@ def bench_garch(rng, n):
              best_of(lambda: kernels.garch_recursion(*args)))]
 
 
+def peak_mb(fn):
+    """Peak MB traced by tracemalloc during one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def bench_levy():
+    rows = []
+    for label, sets in LEVY_MODELS:
+        cfg, _ = config.parse_config("", overrides=sets)
+        _spec, _alpha, _theta, cluster, triple = lab._analytic_setup(cfg)
+
+        def run():
+            stable.levy_marginal_draws(
+                triple, cluster, cfg.t_grid, cfg.limit_draws, n_pts=cfg.n_pts, seed=cfg.seed
+            )
+
+        rows.append(("levy_marginal_draws", label, [cfg.limit_draws, cfg.n_pts], 1,
+                     best_of(run), peak_mb(run)))
+    return rows
+
+
 def source_commit():
     """Commit of the checkout m1lab was imported from, and whether src/ differs."""
     src = os.path.dirname(os.path.abspath(kernels.__file__))
@@ -159,19 +193,22 @@ def main():
     for n in args.sizes:
         rows += bench_balanced(rng, n)
     rows += bench_garch(rng, 200_000)
+    rows = [row + (None,) for row in rows] + bench_levy()
 
     route = "python"
     print(f"route {route}")
-    print(f"{'kernel':<18} {'inputs':<10} {'size':>12} {'decisions':>9} {'best s':>10}")
-    for name, inputs, size, calls, sec in rows:
-        print(f"{name:<18} {inputs:<10} {'x'.join(map(str, size)):>12} {calls:>9} {sec:>10.4f}")
+    print(f"{'kernel':<20} {'inputs':<10} {'size':>12} {'decisions':>9} {'best s':>10} {'peak MB':>8}")
+    for name, inputs, size, calls, sec, peak in rows:
+        print(f"{name:<20} {inputs:<10} {'x'.join(map(str, size)):>12} {calls:>9} {sec:>10.4f}"
+              + ("" if peak is None else f" {peak:>8.1f}"))
     if not args.record:
         return
     env = environment(route)
     append_points(RECORD, [
         {"kernel": name, "inputs": inputs, "size": size, "decisions": calls,
-         "best_s": round(sec, 6), "repeat": REPEAT, **env}
-        for name, inputs, size, calls, sec in rows
+         "best_s": round(sec, 6), "repeat": REPEAT,
+         **({} if peak is None else {"peak_mb": round(peak, 1)}), **env}
+        for name, inputs, size, calls, sec, peak in rows
     ])
 
 

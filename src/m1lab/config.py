@@ -17,7 +17,15 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 
-from .models import GarchSpec, IidSpec, LinearSpec, RegVarSpec, SquaredGarchSpec
+from .models import (
+    GarchSpec,
+    IidSpec,
+    LinearSpec,
+    ModelError,
+    RegVarSpec,
+    SquaredGarchSpec,
+    require_stationary_garch,
+)
 
 
 class ConfigError(ValueError):
@@ -182,12 +190,15 @@ def _build_model(values):
         return IidSpec(RegVarSpec(alpha, p))
     if variant == "linear":
         return LinearSpec(values[("model", "coeffs")], RegVarSpec(alpha, p))
-    if variant == "garch":
-        return GarchSpec(values[("model", "omega")], values[("model", "a1")], values[("model", "b1")])
-    if variant == "squared_garch":
-        return SquaredGarchSpec(
-            GarchSpec(values[("model", "omega")], values[("model", "a1")], values[("model", "b1")])
-        )
+    if variant in ("garch", "squared_garch"):
+        try:
+            inner = GarchSpec(
+                values[("model", "omega")], values[("model", "a1")], values[("model", "b1")]
+            )
+            require_stationary_garch(inner)
+        except ModelError as exc:
+            raise ConfigError(f"model: {exc}") from None
+        return inner if variant == "garch" else SquaredGarchSpec(inner)
     raise ConfigError(f"key 'model.variant': unknown variant {variant!r}")
 
 

@@ -222,6 +222,25 @@ def garch_moment(spec, alpha):
     return val, err
 
 
+# the small exponent s at which E[(a1 Z^2 + b1)^s] - 1 carries the sign of
+# E log(a1 Z^2 + b1), and the bracket's lower end in solve_garch_alpha
+_GARCH_S_MIN = 1e-6
+
+
+def require_stationary_garch(spec):
+    """Raise ModelError unless E log(a1 Z^2 + b1) < 0, the condition for a
+    strictly stationary GARCH(1,1) (Nelson 1990).
+
+    As s -> 0+, E[(a1 Z^2 + b1)^s] - 1 = s E log(a1 Z^2 + b1) + O(s^2), so
+    the sign is read off the moment at a small s.
+    """
+    if garch_moment(spec, _GARCH_S_MIN)[0] >= 1.0:
+        raise ModelError(
+            f"non-stationary GARCH (a1 = {spec.a1}, b1 = {spec.b1}): "
+            "E log(a1 Z^2 + b1) >= 0"
+        )
+
+
 def solve_garch_alpha(spec, tol=1e-10, alpha_max=10.0):
     """Root of E[(a1 Z^2 + b1)^alpha] = 1 on (0, alpha_max].
 
@@ -235,10 +254,12 @@ def solve_garch_alpha(spec, tol=1e-10, alpha_max=10.0):
             "no root: a1 Z^2 + b1 >= 1 almost surely, the moment never crosses 1"
         )
 
+    require_stationary_garch(spec)
+
     def f(alpha):
         return garch_moment(spec, alpha)[0] - 1.0
 
-    lo = 1e-6
+    lo = _GARCH_S_MIN
     hi = None
     a = 0.25
     while a <= alpha_max:

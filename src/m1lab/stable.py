@@ -338,6 +338,11 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
     except the mark drift rate, which always sees an array.  Scalar and
     array ``**`` can differ in the last bit; these forms keep the bits the
     two samplers have always produced.
+
+    The points are built in the buffer of their running sum, and the
+    squares of the points and of the marks overwrite them once nothing else
+    reads them; ``marks`` is always a fresh array, never a view of the
+    cluster's shape or pool.
     """
     if n_pts < 10**3:
         raise StableError("n_pts >= 1e3 required")
@@ -349,11 +354,14 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
     # through its inverse y = (Gamma_i / theta)^{-1/alpha} therefore yields
     # exactly the points of the driving process, in decreasing order.
     shape = batch + (n_pts,)
-    gam = np.cumsum(rng.exponential(size=shape), axis=-1)
-    pts = (gam / theta) ** (-1.0 / a)
+    pts = np.cumsum(rng.exponential(size=shape), axis=-1)
+    np.divide(pts, theta, out=pts)
+    np.power(pts, -1.0 / a, out=pts)
     times = rng.random(shape)
     marks = cluster.sample(rng, math.prod(shape)).reshape(shape + (-1,))
-    u = pts[..., -1][()]  # [()] turns the 0-d array of one series into a scalar
+    # [()] turns the 0-d array of one series into a scalar; a batch's levels
+    # are copied out of pts, which is squared in place below
+    u = pts[..., -1].copy()[()]
     if small_tail_correction:
         mean_sum, mean_sq = _cluster_mean_moments(cluster, a, marks)
 
@@ -375,11 +383,12 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
             drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
         else:
             drift1 = np.zeros(np.shape(u))
-    jump2 = pts**2 * (marks**2).sum(axis=-1)
     if small_tail_correction:
         drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
     else:
         drift2 = np.zeros(np.shape(u))
+    jump2 = np.square(marks, out=marks).sum(axis=-1)
+    np.multiply(np.square(pts, out=pts), jump2, out=jump2)
     return _Series(times, jump1, jump2, u, drift1, drift2, var)
 
 
@@ -431,8 +440,10 @@ def levy_marginal_draws(
     # offsets r * n_pts + order[r]
     order = np.argsort(s.times, axis=1)
     order += np.arange(n_draws)[:, None] * n_pts
-    c1 = np.cumsum(np.take(s.jump1, order), axis=1)
-    c2 = np.cumsum(np.take(s.jump2, order), axis=1)
+    c1 = np.take(s.jump1, order)
+    c2 = np.take(s.jump2, order)
+    np.cumsum(c1, axis=1, out=c1)
+    np.cumsum(c2, axis=1, out=c2)
     l1 = np.empty((n_draws, t_grid.size))
     l2 = np.empty((n_draws, t_grid.size))
     for j, t in enumerate(t_grid):

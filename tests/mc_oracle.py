@@ -4,12 +4,22 @@
 only for caps below the chunk's largest magnitude; the Pareto and cluster
 samplers draw signs by arithmetic on the uniform mask; and
 ``stable.levy_marginal_draws`` counts jump times unsorted and gathers the
-sorted jumps with one flat ``np.take``.  These are the forms they
-replaced, copied unchanged.  ``tests/test_mc_oracle.py`` asserts that both
-give the same bits.
+sorted jumps with one flat ``np.take``; ``stable._levy_series`` builds its
+points and squares in place.  These are the forms they replaced, copied
+unchanged.  ``tests/test_mc_oracle.py`` asserts that both give the same
+bits.
 """
 
+import math
+
 import numpy as np
+
+from m1lab.stable import (
+    StableError,
+    _cluster_mean_moments,
+    _mark_drift_rate,
+    _Series,
+)
 
 
 def karamata_sums(rng, alpha, a_n, u_grid, total):
@@ -64,3 +74,45 @@ def marginal_draws(s, t_grid):
         l2[:, j] -= t * s.drift2
     l2_total = c2[:, -1] - s.drift2
     return {"t_grid": t_grid, "l1": l1, "l2": l2, "l2_total": l2_total}
+
+
+def levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_correction):
+    # Every array of the series a fresh allocation.
+    if n_pts < 10**3:
+        raise StableError("n_pts >= 1e3 required")
+    a = triple.alpha
+    theta = triple.theta
+    rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    shape = batch + (n_pts,)
+    gam = np.cumsum(rng.exponential(size=shape), axis=-1)
+    pts = (gam / theta) ** (-1.0 / a)
+    times = rng.random(shape)
+    marks = cluster.sample(rng, math.prod(shape)).reshape(shape + (-1,))
+    u = pts[..., -1][()]
+    if small_tail_correction:
+        mean_sum, mean_sq = _cluster_mean_moments(cluster, a, marks)
+
+    if a >= 1.0:
+        var = theta * a * (triple.c_plus + triple.c_minus) * u ** (2.0 - a) / (2.0 - a)
+        sd = np.sqrt(var).max()
+        if sd > tail_sd_tol:
+            raise StableError(
+                f"series tail too heavy (remainder sd {sd:.3f} > {tail_sd_tol}); "
+                "increase n_pts"
+            )
+        keep = pts[..., None] * np.abs(marks) > u[..., None, None]
+        jump1 = pts * (marks * keep).sum(axis=-1)
+        drift1 = _mark_drift_rate(triple, np.atleast_1d(u)).reshape(np.shape(u))
+    else:
+        var = 0.0
+        jump1 = pts * marks.sum(axis=-1)
+        if small_tail_correction:
+            drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
+        else:
+            drift1 = np.zeros(np.shape(u))
+    jump2 = pts**2 * (marks**2).sum(axis=-1)
+    if small_tail_correction:
+        drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
+    else:
+        drift2 = np.zeros(np.shape(u))
+    return _Series(times, jump1, jump2, u, drift1, drift2, var)

@@ -131,6 +131,38 @@ class TestM1DistCmd:
         assert bool(capsys.readouterr().err) == (code != 0)
 
 
+class TestModelExitCodes:
+    GARCH = ["--set", "model.variant=garch"]
+    # (arguments after ``simulate``, exit code)
+    EXIT_CASES = {
+        "stationary_garch": (GARCH + ["--set", "model.a1=0.5", "--set", "model.b1=0.3"], 0),
+        "nonstationary_garch": (GARCH + ["--set", "model.a1=1.5", "--set", "model.b1=0.5"], 2),
+        "nonstationary_squared_garch": (
+            ["--set", "model.variant=squared_garch", "--set", "model.a1=1.5",
+             "--set", "model.b1=0.5"],
+            2,
+        ),
+        "unit_b1_garch": (GARCH + ["--set", "model.a1=0.1", "--set", "model.b1=1.0"], 2),
+        "nonpositive_omega": (GARCH + ["--set", "model.omega=-1"], 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_exit_codes(self, case, tmp_path, capsys):
+        extra, code = self.EXIT_CASES[case]
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--n", "200", "--out", str(out)] + extra) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: model: ")
+            assert not out.exists()
+        else:
+            assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+
+    def test_parse_config_rejects_nonstationary(self):
+        with pytest.raises(ConfigError, match="non-stationary GARCH"):
+            parse_config("[model]\nvariant = garch\na1 = 1.5\nb1 = 0.5\n")
+
+
 class TestSimulateEstimate:
     def test_simulate_deterministic_csv(self, tmp_path, capsys):
         args = ["simulate", "--set", "model.alpha=1.0", "--seed", "5", "--n", "50"]

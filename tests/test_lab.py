@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,12 @@ class TestKaramata:
         assert row["limit_first"] == pytest.approx(0.31623, abs=1e-4)
         assert row["limit_second"] == pytest.approx(0.010541, abs=1e-5)
 
+    def test_repeated_u_summed_once(self):
+        cfg = small_config(karamata_alphas=(0.5,), karamata_n=1000, karamata_mc=10**5)
+        once = lab.run_karamata_check(replace_config(cfg, karamata_u_grid=(0.5,))).rows
+        twice = lab.run_karamata_check(replace_config(cfg, karamata_u_grid=(0.5, 0.5))).rows
+        assert twice == once + once
+
 
 class TestSlutsky:
     def test_no_violations_at_scale(self):
@@ -297,3 +305,118 @@ class TestSuite:
             signal.signal(signal.SIGALRM, previous)
         assert report.passed, report.verdicts
         assert time.perf_counter() - t0 < budget
+
+
+def overlap_config(**over):
+    """A suite of a second or two, with two Karamata alphas on the thread."""
+    return small_config(
+        n_grid=(100, 400),
+        replicates=200,
+        limit_draws=200,
+        n_pts=1000,
+        contrast_n_grid=(30,),
+        contrast_replicates=2,
+        karamata_alphas=(0.5, 0.8),
+        karamata_mc=2 * 10**6,
+        slutsky_replicates=20,
+        slutsky_n=1000,
+        theta_replicates=2,
+        theta_n=5000,
+        **over,
+    )
+
+
+# (module, function) of the span tracer's entry points, as the benchmark's
+# tracer lists them.  Its span stack is shared by all threads, so each must
+# run on the main thread.
+TRACED = [
+    ("kernels", "frechet_feasible"),
+    ("kernels", "j1_feasible"),
+    ("paths", "m1_distance_detailed"),
+    ("paths", "j1_distance"),
+    ("paths", "completed_graph"),
+    ("paths", "uniform_distance"),
+    ("models", "sample_model"),
+    ("sumproc", "build_Ln"),
+    ("sumproc", "collapse_clusters"),
+    ("sumproc", "self_normalized_at"),
+    ("sumproc", "centering_constants"),
+    ("stable", "levy_marginal_draws"),
+    ("stable", "simulate_levy_pair"),
+    ("stable", "triple_from_cluster"),
+    ("lab", "ks_2samp"),
+    ("tailstats", "extremal_index_blocks"),
+    ("tailstats", "diagnose"),
+    ("lab", "run_fidi_convergence"),
+    ("lab", "run_selfnorm_convergence"),
+    ("lab", "run_j1_vs_m1_contrast"),
+    ("lab", "run_karamata_check"),
+    ("lab", "run_slutsky_bound_check"),
+    ("lab", "run_theta_recovery"),
+    ("lab", "run_tail_diagnostics"),
+    ("lab", "write_bundle"),
+    ("config", "parse_config"),
+]
+
+
+class TestKaramataOverlap:
+    """The suite computes the Karamata sums on one background thread."""
+
+    CHECKS = ["fidi", "selfnorm", "contrast", "karamata", "slutsky", "theta", "diagnostics"]
+
+    def test_rows_equal_check_alone(self):
+        cfg = overlap_config()
+        report = lab.run_full_suite(cfg)
+        suite = next(r for r in report.results if r.check == "karamata")
+        alone = lab.run_karamata_check(cfg)
+        assert suite.rows == alone.rows
+        assert suite.verdicts == alone.verdicts
+        assert report.runtime["karamata_background"] > 0.0
+
+    def test_error_in_thread_recorded(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("forced in the background")
+
+        monkeypatch.setattr(lab, "_karamata_sums", fail)
+        report = lab.run_full_suite(overlap_config())
+        assert [r.check for r in report.results] == self.CHECKS
+        karamata = report.results[self.CHECKS.index("karamata")]
+        assert karamata.verdicts == {"completed": False}
+        assert karamata.rows == []
+        assert karamata.notes == ["error: RuntimeError: forced in the background"]
+        for res in report.results:
+            if res.check != "karamata":
+                assert "completed" not in res.verdicts, res.check
+                assert res.rows, res.check
+
+    def test_no_thread_left(self, tmp_path):
+        before = set(threading.enumerate())
+        lab.run_full_suite(overlap_config(), outdir=str(tmp_path / "bundle"))
+        assert set(threading.enumerate()) == before
+
+    def test_traced_entry_points_on_main_thread(self, monkeypatch, tmp_path):
+        import sys
+
+        calls = []
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        modules = [m for key, m in sys.modules.items() if key.startswith("m1lab.")]
+        for mod_name, attr in TRACED + [("lab", "_karamata_sums")]:
+            original = getattr(sys.modules[f"m1lab.{mod_name}"], attr)
+            wrapper = wrap(f"{mod_name}.{attr}", original)
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+        lab.run_full_suite(overlap_config(), outdir=str(tmp_path / "bundle"))
+        traced = [(name, main) for name, main in calls if name != "lab._karamata_sums"]
+        assert {name for name, _ in traced} >= {"lab.run_karamata_check", "lab.write_bundle"}
+        assert all(main for _, main in traced), [name for name, main in traced if not main]
+        # the sums themselves ran on the worker
+        assert [main for name, main in calls if name == "lab._karamata_sums"] == [False, False]

@@ -86,3 +86,82 @@ class TestLevyMarginalDraws:
         assert got.keys() == want.keys()
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _pool_cluster():
+    return ClusterDistribution(
+        p=1.0, pool=np.array([[1.0, 0.5, 0.0], [-2.0, 0.7, 0.3], [0.3, 0.6, -0.2]])
+    )
+
+
+# (label, case): a model spec, whose analytic setup gives the cluster and
+# triple, or (alpha, cluster factory) for an empirical pool at theta 0.6
+SERIES_CASES = [
+    ("iid_0.8", IidSpec(RegVarSpec(0.8, p=0.5))),
+    ("linear_1_0.5", LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=0.5))),
+    ("iid_1.5", IidSpec(RegVarSpec(1.5, p=0.7))),
+    ("iid_1.0", IidSpec(RegVarSpec(1.0, p=0.6))),
+    ("linear_1_-0.6_0.3", LinearSpec((1.0, -0.6, 0.3), RegVarSpec(1.2, p=0.7))),
+    ("pool_0.8", (0.8, _pool_cluster)),
+    ("pool_1.5", (1.5, _pool_cluster)),
+]
+
+
+def _series_setup(case):
+    if isinstance(case, tuple):
+        alpha, make = case
+        cluster = make()
+        return cluster, stable.triple_from_cluster(alpha, 0.6, cluster, mc_size=10**4)
+    _spec, _alpha, _theta, cluster, triple = lab._analytic_setup(
+        replace_config(default_config(), model=case)
+    )
+    return cluster, triple
+
+
+class TestLevySeries:
+    """``_levy_series`` builds its points and squares in place; the draws and
+    paths of both samplers keep the bits of the former series."""
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    @pytest.mark.parametrize("label,case", SERIES_CASES)
+    def test_marginal_draws(self, monkeypatch, label, case, seed):
+        cluster, triple = _series_setup(case)
+        t_grid = [0.0, 0.25, 0.5, 1.0]
+        got = stable.levy_marginal_draws(triple, cluster, t_grid, 200, n_pts=1000, seed=seed)
+        monkeypatch.setattr(stable, "_levy_series", oracle.levy_series)
+        want = stable.levy_marginal_draws(triple, cluster, t_grid, 200, n_pts=1000, seed=seed)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    @pytest.mark.parametrize("label,case", SERIES_CASES)
+    def test_levy_pair(self, monkeypatch, label, case, seed):
+        cluster, triple = _series_setup(case)
+        got, got_meta = stable.simulate_levy_pair(triple, cluster, n_pts=1000, seed=seed)
+        monkeypatch.setattr(stable, "_levy_series", oracle.levy_series)
+        want, want_meta = stable.simulate_levy_pair(triple, cluster, n_pts=1000, seed=seed)
+        assert got_meta == want_meta
+        for coord in ("l1", "l2"):
+            assert np.array_equal(getattr(got, coord).times, getattr(want, coord).times)
+            assert np.array_equal(getattr(got, coord).values, getattr(want, coord).values)
+        assert (got.u, got.b1n, got.b2n) == (want.u, want.b1n, want.b2n)
+
+    @pytest.mark.parametrize("batch", [(), (50,)])
+    @pytest.mark.parametrize("label,case", SERIES_CASES)
+    def test_series_fields(self, label, case, batch):
+        # the truncation level is read before pts is squared in place
+        cluster, triple = _series_setup(case)
+        got = stable._levy_series(triple, cluster, batch, 1000, 3, 0.75, True)
+        want = oracle.levy_series(triple, cluster, batch, 1000, 3, 0.75, True)
+        for name, value in want._asdict().items():
+            assert np.array_equal(getattr(got, name), value), name
+
+    @pytest.mark.parametrize("label,case", SERIES_CASES)
+    def test_cluster_unchanged(self, label, case):
+        cluster, triple = _series_setup(case)
+        template = cluster.shape if cluster.is_deterministic else cluster.pool
+        before = template.copy()
+        stable.levy_marginal_draws(triple, cluster, [0.5, 1.0], 100, n_pts=1000, seed=4)
+        stable.simulate_levy_pair(triple, cluster, n_pts=1000, seed=4)
+        assert np.array_equal(template, before)

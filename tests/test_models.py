@@ -189,6 +189,11 @@ class TestGarch:
         with pytest.raises(ModelError, match="never crosses 1"):
             solve_garch_alpha(GarchSpec(1.0, 0.1, 1.0))
 
+    def test_nonstationary_raises_model_error(self):
+        # E log(1.5 Z^2 + 0.5) > 0: the moment exceeds 1 at every alpha > 0
+        with pytest.raises(ModelError, match="non-stationary"):
+            solve_garch_alpha(GarchSpec(1.0, 1.5, 0.5))
+
 
 class TestSquaredGarch:
     @pytest.mark.parametrize("sampler", ["garch", "squared"])
