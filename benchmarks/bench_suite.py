@@ -69,11 +69,12 @@ def main():
             for label, text, sets in CONFIGS + (FULL if args.full else [])]
 
     route = "python"
-    names = list(rows[0][1])
+    widths = {n: max(12, len(n) + 2) for n in rows[0][1]}
     print(f"route {route}; best of {REPEAT} runs, seconds")
-    print(f"{'config':<22}" + "".join(f"{n:>12}" for n in names) + f"{'total':>10}")
+    print(f"{'config':<22}" + "".join(f"{n:>{w}}" for n, w in widths.items()) + f"{'total':>10}")
     for label, checks, total in rows:
-        print(f"{label:<22}" + "".join(f"{checks[n]:>12.3f}" for n in names) + f"{total:>10.3f}")
+        print(f"{label:<22}" + "".join(f"{checks[n]:>{w}.3f}" for n, w in widths.items())
+              + f"{total:>10.3f}")
     if not args.record:
         return
     env = environment(route)
