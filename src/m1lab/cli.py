@@ -67,11 +67,22 @@ def _load_config(args):
     return cfg, echo
 
 
+def _open_out(path):
+    """stdout, or ``path`` opened for writing; an OSError exits with EXIT_IO."""
+    if path is None:
+        return sys.stdout
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_IO) from None
+
+
 def _cmd_simulate(args):
     cfg, _ = _load_config(args)
     n = args.n or max(cfg.n_grid)
     sample = sample_model(cfg.model, n, cfg.seed)
-    out = sys.stdout if args.out is None else open(args.out, "w")
+    out = _open_out(args.out)
     try:
         vals = sample.values
         if isinstance(cfg.model, SquaredGarchSpec):
@@ -98,13 +109,20 @@ def _cmd_estimate(args):
         except OSError as exc:
             print(f"error: cannot read data: {exc}", file=sys.stderr)
             return EXIT_IO
+        except ValueError as exc:
+            print(f"error: malformed data: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         n = args.n or max(cfg.n_grid)
         sample = sample_model(cfg.model, n, cfg.seed)
         values = sample.values if sample.values.ndim == 1 else sample.values[:, 0]
-    scheme = tailstats.BlockingScheme.from_exponent(values.size, cfg.kappa)
-    diag = tailstats.diagnose(values, scheme)
-    out = sys.stdout if args.out is None else open(args.out, "w")
+    try:
+        scheme = tailstats.BlockingScheme.from_exponent(values.size, cfg.kappa)
+        diag = tailstats.diagnose(values, scheme)
+    except tailstats.EstimatorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    out = _open_out(args.out)
     try:
         tailstats.dump_jsonl(diag.jsonl_records(), out)
     finally:

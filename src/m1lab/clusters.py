@@ -55,10 +55,6 @@ class ClusterDistribution:
     def is_deterministic(self):
         return self.shape is not None
 
-    @property
-    def width(self):
-        return self.shape.size if self.is_deterministic else self.pool.shape[1]
-
     def sample(self, rng, size):
         """Draw ``size`` clusters as a (size, width) array of marks."""
         if self.is_deterministic:

@@ -78,7 +78,6 @@ SCHEMA = {
         "limit_draws": (_as_int, 2000),
         "t_grid": (_as_float_list, (0.25, 0.5, 0.75, 1.0)),
         "kappa": (_as_float, 0.5),
-        "u": (_as_float, 0.1),
         "n_pts": (_as_int, 2000),
         "theta_exceedances": (_as_float, 25.0),
         "theta_replicates": (_as_int, 50),
@@ -118,7 +117,6 @@ class ExperimentConfig:
     limit_draws: int
     t_grid: tuple
     kappa: float
-    u: float
     n_pts: int
     theta_exceedances: float
     theta_replicates: int
@@ -244,6 +242,14 @@ def parse_config(text, overrides=(), env=None):
     t_grid = values[("run", "t_grid")]
     if any(t < 0.0 or t > 1.0 for t in t_grid) or 1.0 not in t_grid:
         raise ConfigError("key 'run.t_grid': times must lie in [0,1] and include 1")
+    kappa = values[("run", "kappa")]
+    if not 0.0 < kappa < 1.0:
+        raise ConfigError(f"key 'run.kappa': {kappa} outside the valid range (0,1)")
+    # the Karamata limits u^{1-alpha} alpha/(1-alpha) need these ranges
+    if not all(0.0 < a < 1.0 for a in values[("run", "karamata_alphas")]):
+        raise ConfigError("key 'run.karamata_alphas': every alpha must lie in (0,1)")
+    if not all(u > 0.0 for u in values[("run", "karamata_u_grid")]):
+        raise ConfigError("key 'run.karamata_u_grid': truncation levels must be positive")
     tolerances = {key: values[("tolerances", key)] for key in SCHEMA["tolerances"]}
     run = {key: values[("run", key)] for key in SCHEMA["run"]}
     return ExperimentConfig(model=model, tolerances=tolerances, **run), echo

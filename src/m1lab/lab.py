@@ -8,9 +8,10 @@ analytic truncated-moment limits and the small-jump tail bound.  That
 decomposition statement is written into every report header.
 
 Every check consumes an :class:`~m1lab.config.ExperimentConfig`; verdict
-thresholds come exclusively from the config's tolerances.  Replicates are
-keyed by (config digest, replicate index) through xor-derived seeds, so
-results do not depend on scheduling or worker count.
+thresholds come exclusively from the config's tolerances.  Replicate r of
+a check draws at derive_seed(stream_seed(config.seed, tag), r), where the
+tag names the check (and sample size), so results do not depend on
+scheduling or worker count.
 """
 
 import hashlib

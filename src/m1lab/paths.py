@@ -14,8 +14,6 @@ Paths are immutable after construction and every operation here is a pure
 function, safe for concurrent use.
 """
 
-import io
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +31,6 @@ class DimensionError(PathError):
 
 class PreconditionError(PathError):
     """A documented operation precondition was violated."""
-
-
-class OppositeJumpWarning(UserWarning):
-    """Common jump time with opposite-sign jumps in a path product."""
 
 
 STEP = "step"
@@ -88,12 +82,6 @@ class CadlagPath:
     def coord(self, j):
         """Scalar component path."""
         return CadlagPath(self.times, self.values[:, j], self.kind)
-
-    def at(self, t):
-        return eval_path(self, t)
-
-    def left_at(self, t):
-        return left_limit(self, t)
 
 
 def eval_path(path, t):
@@ -376,136 +364,6 @@ def monotone_m1_distance(x, y):
     return float(np.maximum(np.abs(xp_t - yq_t), np.abs(xp_v - yq_v)).max())
 
 
-def _check_divisor(y):
-    if y.dim != 1:
-        raise DimensionError("divisor path must be scalar")
-    v = y.values[:, 0]
-    if y.kind == STEP and v.size > 1 and np.any(np.diff(v) != 0.0):
-        raise PreconditionError(
-            "divisor violates the continuity condition of the continuous-"
-            "nondecreasing-positive class (step path with jumps)"
-        )
-    if v[0] <= 0.0:
-        raise PreconditionError(
-            "divisor violates the positivity-at-zero condition y(0) > 0 of the "
-            "continuous-nondecreasing-positive class"
-        )
-    if np.any(v <= 0.0):
-        raise PreconditionError(
-            "divisor violates the strict positivity condition of the continuous-"
-            "nondecreasing-positive class"
-        )
-    if np.any(np.diff(v) < 0.0):
-        raise PreconditionError(
-            "divisor violates the nondecreasing condition of the continuous-"
-            "nondecreasing-positive class"
-        )
-
-
-def ratio_path(x, y):
-    """Pointwise x/y on the merged breakpoint grid.
-
-    The divisor must be continuous, nondecreasing and strictly positive with
-    y(0) > 0.  Values are exact on the merged grid; between grid points the
-    returned path interpolates with x's kind.
-    """
-    _check_divisor(y)
-    ts = _merged_times(x, y)
-    xv = np.atleast_2d(eval_path(x, ts))
-    yv = np.atleast_2d(eval_path(y, ts))[:, 0]
-    return CadlagPath(ts, xv / yv[:, None], x.kind)
-
-
-def _jump_at(path, t):
-    tol_idx = np.searchsorted(path.times, t)
-    if tol_idx >= len(path.times) or path.times[tol_idx] != t or t == 0.0:
-        return np.zeros(path.dim)
-    return path.values[tol_idx] - np.atleast_1d(left_limit(path, t))
-
-
-def product_path(x, y):
-    """Pointwise product on the merged grid.
-
-    Emits :class:`OppositeJumpWarning` when a common jump time carries
-    opposite-sign jumps (the multiplication map is not continuous there).
-    """
-    if x.dim != y.dim:
-        raise DimensionError("paths must share the coordinate count")
-    ts = _merged_times(x, y)
-    xv = np.atleast_2d(eval_path(x, ts))
-    yv = np.atleast_2d(eval_path(y, ts))
-    common = np.intersect1d(x.times[1:], y.times[1:])
-    for t in common:
-        jx = _jump_at(x, t)
-        jy = _jump_at(y, t)
-        if np.any(jx * jy < 0.0):
-            warnings.warn(
-                f"opposite-sign common jump at t={t:g}; product continuity "
-                "is not guaranteed there",
-                OppositeJumpWarning,
-                stacklevel=2,
-            )
-            break
-    kind = STEP if (x.kind == STEP and y.kind == STEP) else PL
-    return CadlagPath(ts, xv * yv, kind)
-
-
-@dataclass(frozen=True)
-class ParametricRep:
-    """Sampled strong parametric representation (r, u) of a completed graph."""
-
-    r: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        if r.ndim != 1 or r.shape != u.shape:
-            raise PathError("representation components must be 1-d arrays of equal length")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def resolution(self):
-        return self.r.size
-
-
-def parametric_rep(path, resolution=512, coord=0):
-    """Arc-length-uniform strong parametric representation of one coordinate."""
-    gt, gv = completed_graph(path, coord)
-    seg = np.abs(np.diff(gt)) + np.abs(np.diff(gv))
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    if arc[-1] == 0.0:
-        arc = np.linspace(0.0, 1.0, gt.size)
-    s = np.linspace(0.0, arc[-1], resolution)
-    return ParametricRep(np.interp(s, arc, gt), np.interp(s, arc, gv))
-
-
-def rep_graph_violation(rep, path, coord=0):
-    """Largest max-norm distance from representation samples to the graph."""
-    gt, gv = completed_graph(path, coord)
-    c0 = np.stack([gt[:-1], gv[:-1]])
-    c1 = np.stack([gt[1:], gv[1:]])
-    samples = np.stack([rep.r, rep.u])
-    worst = 0.0
-    for k in range(samples.shape[1]):
-        a = samples[:, k : k + 1]
-        lo, hi = kernels._free_point_seg(a, c0, c1, 0.0)
-        if np.any(lo <= hi):
-            continue
-        # distance to each segment under the max norm by local bisection
-        d_lo = np.zeros(gt.size - 1)
-        d_hi = np.abs(a - c0).max(axis=0)
-        for _ in range(40):
-            mid = 0.5 * (d_lo + d_hi)
-            flo, fhi = kernels._free_point_seg(a, c0, c1, mid)
-            inside = flo <= fhi
-            d_hi = np.where(inside, mid, d_hi)
-            d_lo = np.where(inside, d_lo, mid)
-        worst = max(worst, float(d_hi.min()))
-    return worst
-
-
 def save_path_csv(path, fileobj_or_name):
     """Serialize as ``# kind=... d=...`` header plus ``t,v1[,v2]`` rows."""
     own = isinstance(fileobj_or_name, (str, bytes))
@@ -556,8 +414,3 @@ def load_path_csv(fileobj_or_name):
         if own:
             f.close()
 
-
-def path_to_csv_text(path):
-    buf = io.StringIO()
-    save_path_csv(path, buf)
-    return buf.getvalue()

@@ -1,7 +1,7 @@
 """Partial-sum path functionals of a sample: the joint (sums, sums of
-squares) step-path pair, its truncation through the summation functional on
-the time-space point measure, centering constants, the self-normalized path
-S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2), and block-collapsed paths.
+squares) step-path pair, its truncated-mean centering constants, the
+self-normalized path S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2), and
+block-collapsed paths.
 
 The self-normalized path is exactly scale invariant: in real arithmetic
 S/V does not see a positive rescaling of the data, and in floating point
@@ -20,26 +20,6 @@ from .paths import STEP, CadlagPath
 
 class SumProcessError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PointMeasure:
-    """Finite list of (time, mark) atoms; marks are nonzero by construction."""
-
-    times: np.ndarray
-    marks: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        m = np.asarray(self.marks, dtype=float)
-        if t.shape != m.shape or t.ndim != 1:
-            raise SumProcessError("times and marks must be matching 1-d arrays")
-        if t.size and (t.min() < 0.0 or t.max() > 1.0):
-            raise SumProcessError("atom times must lie in [0,1]")
-        if np.any(m == 0.0):
-            raise SumProcessError("marks must be nonzero")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "marks", m)
 
 
 @dataclass(frozen=True)
@@ -71,55 +51,38 @@ class JointPathPair:
     b2n: float = 0.0
 
 
-def build_point_measure(data, a_n):
-    """Atoms (i/n, X_i / a_n), zero observations dropped."""
-    if a_n <= 0.0:
-        raise SumProcessError("norming constant must be positive")
-    x = np.asarray(data, dtype=float)
-    n = x.size
-    keep = x != 0.0
-    idx = np.flatnonzero(keep)
-    return PointMeasure((idx + 1) / n, x[idx] / a_n)
-
-
-def _pareto_truncated_abs_moment(alpha, power, lower, upper):
-    """E[|X|^power 1{lower < |X| <= upper}] for the unit Pareto, upper >= 1."""
-    lo = max(lower, 1.0)
-    if upper <= lo:
+def _pareto_truncated_abs_moment(alpha, power, upper):
+    """E[|X|^power 1{|X| <= upper}] for the unit Pareto (support [1, inf))."""
+    if upper <= 1.0:
         return 0.0
     expo = power - alpha
     if expo == 0.0:
-        return alpha * np.log(upper / lo)
-    return alpha / expo * (upper**expo - lo**expo)
+        return alpha * np.log(upper)
+    return alpha / expo * (upper**expo - 1.0)
 
 
-def centering_constants(spec, a_n, n, u=None, mc_size=10**6, seed=0, se_tol=None):
+def centering_constants(spec, a_n, n, mc_size=10**6, seed=0, se_tol=None):
     """b1n = E[(X/a_n) 1{|X|/a_n <= 1}], b2n = E[(X^2/a_n^2) 1{X^2/a_n^2 <= 1}].
 
     Zero in the alpha < 1 regime.  Closed-form Pareto integrals for the
     canonical i.i.d. spec; Monte Carlo with reported standard errors
-    otherwise.  ``u`` restricts the truncation window to (u, 1].
+    otherwise.
     """
     alpha = model_alpha(spec)
     if alpha < 1.0:
         return CenteringConstants(0.0, 0.0, alpha)
-    lower = 0.0 if u is None else u * a_n
     if isinstance(spec, IidSpec) and spec.rv.scale == 1.0:
         rv = spec.rv
-        m1 = _pareto_truncated_abs_moment(alpha, 1.0, lower, a_n)
-        m2 = _pareto_truncated_abs_moment(alpha, 2.0, lower, a_n)
+        m1 = _pareto_truncated_abs_moment(alpha, 1.0, a_n)
+        m2 = _pareto_truncated_abs_moment(alpha, 2.0, a_n)
         b1n = (rv.p - rv.q) * m1 / a_n
         b2n = m2 / (a_n * a_n)
         return CenteringConstants(b1n, b2n, alpha)
     sample = sample_model(spec, mc_size, seed).values
     y = sample / a_n
     t1 = np.where(np.abs(y) <= 1.0, y, 0.0)
-    if u is not None:
-        t1 = np.where(np.abs(y) > u, t1, 0.0)
     y2 = y * y
     t2 = np.where(y2 <= 1.0, y2, 0.0)
-    if u is not None:
-        t2 = np.where(y2 > u, t2, 0.0)
     b1n = float(t1.mean())
     b2n = float(t2.mean())
     se1 = float(t1.std(ddof=1) / np.sqrt(mc_size))
@@ -157,39 +120,6 @@ def build_Ln(data, a_n, constants=None):
         centered=centered,
         b1n=b1n,
         b2n=b2n,
-    )
-
-
-def truncate_Ln(pm, u):
-    """Summation functional keeping atoms with |mark| > u.
-
-    Both coordinates use the same indicator; the second sums squared marks.
-    """
-    if u <= 0.0:
-        raise SumProcessError("truncation level must be positive")
-    keep = np.abs(pm.marks) > u
-    t = pm.times[keep]
-    m = pm.marks[keep]
-    times = np.concatenate([[0.0], t])
-    s1 = np.concatenate([[0.0], np.cumsum(m)])
-    s2 = np.concatenate([[0.0], np.cumsum(m * m)])
-    # duplicate atom times would violate path invariants; merge them
-    if t.size and np.any(np.diff(t) == 0.0):
-        uniq, inv = np.unique(t, return_inverse=True)
-        j1 = np.zeros(uniq.size)
-        j2 = np.zeros(uniq.size)
-        np.add.at(j1, inv, m)
-        np.add.at(j2, inv, m * m)
-        times = np.concatenate([[0.0], uniq])
-        s1 = np.concatenate([[0.0], np.cumsum(j1)])
-        s2 = np.concatenate([[0.0], np.cumsum(j2)])
-    return JointPathPair(
-        l1=CadlagPath(times, s1, STEP),
-        l2=CadlagPath(times, s2, STEP),
-        n=pm.times.size,
-        a_n=np.nan,
-        centered=False,
-        u=u,
     )
 
 

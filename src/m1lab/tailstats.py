@@ -1,11 +1,10 @@
 """Estimators and empirical diagnostics for heavy-tailed sample paths: tail
-index, norming constant, extremal index, anticluster / sign-switch /
-small-jump probes, and the conditional law of lagged ratios around large
-values.
+index, norming constant, extremal index, and anticluster / sign-switch
+probes.
 
 All estimators are scale invariant where the underlying quantity is (Hill,
-blocks estimator, lagged ratios), and thresholds are usually supplied as
-quantile levels by callers so experiments stay scale-free.
+blocks estimator), and thresholds are usually supplied as quantile levels
+by callers so experiments stay scale-free.
 """
 
 import json
@@ -138,73 +137,6 @@ def sign_switch_diagnostic(data, scheme, u):
     return int(np.sum(pos & neg))
 
 
-def small_jump_diagnostic(replicates, a_n, u_grid, delta, centered=False):
-    """Empirical P(max_k |sum of truncated (centered) terms| > delta) per u.
-
-    Returns two curves keyed by u: one for terms X/a_n with the indicator
-    |X|/a_n <= u, one for terms X^2/a_n^2 with the indicator X^2/a_n^2 <= u.
-    The centering, when requested, uses the pooled empirical mean of the
-    truncated terms.
-    """
-    reps = [np.asarray(r, dtype=float) for r in replicates]
-    curve1 = {}
-    curve2 = {}
-    for u in u_grid:
-        hits1 = 0
-        hits2 = 0
-        y1_all = [r / a_n for r in reps]
-        t1_all = [np.where(np.abs(y) <= u, y, 0.0) for y in y1_all]
-        y2_all = [(r * r) / (a_n * a_n) for r in reps]
-        t2_all = [np.where(y2 <= u, y2, 0.0) for y2 in y2_all]
-        c1 = np.mean(np.concatenate(t1_all)) if centered else 0.0
-        c2 = np.mean(np.concatenate(t2_all)) if centered else 0.0
-        for t1, t2 in zip(t1_all, t2_all):
-            if np.max(np.abs(np.cumsum(t1 - c1))) > delta:
-                hits1 += 1
-            if np.max(np.abs(np.cumsum(t2 - c2))) > delta:
-                hits2 += 1
-        curve1[float(u)] = hits1 / len(reps)
-        curve2[float(u)] = hits2 / len(reps)
-    return curve1, curve2
-
-
-@dataclass(frozen=True)
-class LagSummary:
-    lag: int
-    quantiles: dict
-    near_zero_mass: float
-    anchors: int
-
-
-def empirical_tail_process(data, u, lag_window, near_zero=0.05):
-    """Conditional law of X_{t+i} / |X_t| given |X_t| > u, for |i| <= window.
-
-    Summarized by quantiles and by the probability mass within ``near_zero``
-    of 0.  Invariant under rescaling of the data.
-    """
-    x = np.asarray(data, dtype=float)
-    n = x.size
-    anchors = np.flatnonzero(np.abs(x) > u)
-    anchors = anchors[(anchors >= lag_window) & (anchors < n - lag_window)]
-    if anchors.size < 100:
-        raise EstimatorError(
-            f"need >= 100 interior anchors above the threshold, got {anchors.size}"
-        )
-    qlevels = (0.05, 0.25, 0.5, 0.75, 0.95)
-    out = {}
-    denom = np.abs(x[anchors])
-    for lag in range(-lag_window, lag_window + 1):
-        ratios = x[anchors + lag] / denom
-        qs = {f"q{int(100 * ql):02d}": float(np.quantile(ratios, ql)) for ql in qlevels}
-        out[lag] = LagSummary(
-            lag=lag,
-            quantiles=qs,
-            near_zero_mass=float(np.mean(np.abs(ratios) <= near_zero)),
-            anchors=int(anchors.size),
-        )
-    return out
-
-
 @dataclass
 class TailDiagnostics:
     """Bundle of per-sample diagnostics plus the untestable-assumption flag."""
@@ -214,12 +146,11 @@ class TailDiagnostics:
     theta_hat: float
     anticluster_curve: dict = field(default_factory=dict)
     sign_switch_violations: int = 0
-    small_jump_curve: dict = field(default_factory=dict)
     mixing_assumed: bool = True
 
     def jsonl_records(self, replicate=0):
         """One record per (replicate, diagnostic), with the flat field names
-        alpha_hat / an_hat / theta_hat / m / prob / u / delta / violations."""
+        alpha_hat / an_hat / theta_hat / m / prob / violations."""
         recs = [
             {
                 "replicate": replicate,
@@ -238,16 +169,6 @@ class TailDiagnostics:
         for m, prob in sorted(self.anticluster_curve.items()):
             recs.append(
                 {"replicate": replicate, "diagnostic": "anticluster", "m": m, "prob": prob}
-            )
-        for (u, delta), prob in sorted(self.small_jump_curve.items()):
-            recs.append(
-                {
-                    "replicate": replicate,
-                    "diagnostic": "small_jump",
-                    "u": u,
-                    "delta": delta,
-                    "prob": prob,
-                }
             )
         return recs
 

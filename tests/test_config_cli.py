@@ -133,27 +133,39 @@ class TestM1DistCmd:
 
 class TestModelExitCodes:
     GARCH = ["--set", "model.variant=garch"]
-    # (arguments after ``simulate``, exit code)
+    MODEL_ERROR = "config error: model: "
+    # (arguments after ``simulate``, exit code, start of stderr); "{tmp}"
+    # stands for the test's temporary directory
     EXIT_CASES = {
-        "stationary_garch": (GARCH + ["--set", "model.a1=0.5", "--set", "model.b1=0.3"], 0),
-        "nonstationary_garch": (GARCH + ["--set", "model.a1=1.5", "--set", "model.b1=0.5"], 2),
+        "stationary_garch": (GARCH + ["--set", "model.a1=0.5", "--set", "model.b1=0.3"], 0, ""),
+        "nonstationary_garch": (
+            GARCH + ["--set", "model.a1=1.5", "--set", "model.b1=0.5"], 2, MODEL_ERROR
+        ),
         "nonstationary_squared_garch": (
             ["--set", "model.variant=squared_garch", "--set", "model.a1=1.5",
              "--set", "model.b1=0.5"],
             2,
+            MODEL_ERROR,
         ),
-        "unit_b1_garch": (GARCH + ["--set", "model.a1=0.1", "--set", "model.b1=1.0"], 2),
-        "nonpositive_omega": (GARCH + ["--set", "model.omega=-1"], 2),
+        "unit_b1_garch": (
+            GARCH + ["--set", "model.a1=0.1", "--set", "model.b1=1.0"], 2, MODEL_ERROR
+        ),
+        "nonpositive_omega": (GARCH + ["--set", "model.omega=-1"], 2, MODEL_ERROR),
+        "out_in_missing_dir": (
+            ["--out", "{tmp}/no_such_dir/x.csv"], 3, "error: cannot write output: "
+        ),
+        "removed_run_u": (["--set", "run.u=0.1"], 2, "config error: override #1: "),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
     def test_exit_codes(self, case, tmp_path, capsys):
-        extra, code = self.EXIT_CASES[case]
+        extra, code, err_start = self.EXIT_CASES[case]
+        extra = [a.replace("{tmp}", str(tmp_path)) for a in extra]
         out = tmp_path / "x.csv"
         assert main(["simulate", "--n", "200", "--out", str(out)] + extra) == code
         err = capsys.readouterr().err
         if code:
-            assert err.startswith("config error: model: ")
+            assert err.startswith(err_start)
             assert not out.exists()
         else:
             assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
@@ -161,6 +173,69 @@ class TestModelExitCodes:
     def test_parse_config_rejects_nonstationary(self):
         with pytest.raises(ConfigError, match="non-stationary GARCH"):
             parse_config("[model]\nvariant = garch\na1 = 1.5\nb1 = 0.5\n")
+
+
+class TestEstimateExitCodes:
+    # (data file text or None to simulate, extra arguments, exit code, start
+    # of stderr); "{tmp}" stands for the test's temporary directory
+    EXIT_CASES = {
+        "valid_data": ("i,x\n" + "".join(f"{i},{(-1) ** i * (i % 97 + 1.5)}\n"
+                                         for i in range(1, 2001)), [], 0, ""),
+        "missing_data_file": (None, ["--data", "{tmp}/no.csv"], 3, "error: cannot read data: "),
+        "non_numeric_cell": ("i,x\n1,0.5\n2,abc\n", [], 2, "error: malformed data: "),
+        "missing_column": ("x\n1\n2\n", [], 2, "error: malformed data: "),
+        "too_few_values": ("i,x\n1,2.0\n", [], 2, "error: need 0 < k < n"),
+        "out_in_missing_dir": (
+            None, ["--n", "2000", "--out", "{tmp}/no_such_dir/d.jsonl"], 3,
+            "error: cannot write output: ",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_exit_codes(self, case, tmp_path, capsys):
+        data, extra, code, err_start = self.EXIT_CASES[case]
+        args = ["estimate"] + [a.replace("{tmp}", str(tmp_path)) for a in extra]
+        if data is not None:
+            (tmp_path / "data.csv").write_text(data)
+            args += ["--data", str(tmp_path / "data.csv")]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(err_start)
+        assert bool(captured.err) == (code != 0)
+        if code:
+            assert captured.out == ""
+
+
+class TestConvergeExitCodes:
+    # (overrides of ``converge --check CHECK``, exit code); the run values
+    # are checked when the config is parsed, before any check runs
+    EXIT_CASES = {
+        "karamata_alpha_one": ("karamata", ["run.karamata_alphas=1.0"], 2),
+        "karamata_alpha_zero": ("karamata", ["run.karamata_alphas=0.5, 0.0"], 2),
+        "karamata_u_zero": ("karamata", ["run.karamata_u_grid=0.0, 0.1"], 2),
+        "karamata_u_negative": ("karamata", ["run.karamata_u_grid=-0.1"], 2),
+        "kappa_above_one": ("theta", ["run.kappa=1.5"], 2),
+        "kappa_zero": ("theta", ["run.kappa=0"], 2),
+        "karamata_valid": (
+            "karamata", ["run.karamata_u_grid=0.5", "run.karamata_mc=100000",
+                         "run.karamata_n=1000"], 0,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_exit_codes(self, case, capsys):
+        check, overrides, code = self.EXIT_CASES[case]
+        args = ["converge", "--check", check, "--seed", "20240503"]
+        for ov in overrides:
+            args += ["--set", ov]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            key = overrides[-1].split("=")[0]
+            assert captured.err.startswith(f"config error: key '{key}'")
+            assert captured.out == ""
+        else:
+            assert captured.err == ""
 
 
 class TestSimulateEstimate:

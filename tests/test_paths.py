@@ -11,7 +11,6 @@ from m1lab.paths import (
     STEP,
     CadlagPath,
     DimensionError,
-    OppositeJumpWarning,
     PathError,
     PreconditionError,
     completed_graph,
@@ -23,11 +22,7 @@ from m1lab.paths import (
     m1_distance,
     m1_distance_detailed,
     monotone_m1_distance,
-    parametric_rep,
-    path_to_csv_text,
-    product_path,
-    ratio_path,
-    rep_graph_violation,
+    save_path_csv,
     step_refine,
     uniform_distance,
     weak_m1_distance,
@@ -381,16 +376,23 @@ class TestMonotone:
         # agrees with the free-space route
         assert m1_distance(lin, sq, resolution=8192) == pytest.approx(exact, abs=1e-3)
 
-    def test_agrees_with_m1_on_random_monotone_steps(self, rng):
-        for _ in range(25):
-            x = make_step_path(rng)
-            y = make_step_path(rng)
-            xm = CadlagPath(x.times, np.sort(np.abs(x.values[:, 0])), STEP)
-            ym = CadlagPath(y.times, np.sort(np.abs(y.values[:, 0])), STEP)
-            res = m1_distance_detailed(xm, ym, resolution=16384)
-            assert monotone_m1_distance(xm, ym) == pytest.approx(
-                res.value, abs=res.tol + 1e-9
-            )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([STEP, PL]),
+        st.sampled_from([STEP, PL]),
+    )
+    def test_agrees_with_m1_on_random_monotone_steps(self, seed, kind_x, kind_y):
+        # the closed form is exact, so the bisection must land within its tol
+        rng = np.random.default_rng(seed)
+        x = make_step_path(rng)
+        y = make_step_path(rng)
+        xm = CadlagPath(x.times, np.sort(np.abs(x.values[:, 0])), kind_x)
+        ym = CadlagPath(y.times, np.sort(np.abs(y.values[:, 0])), kind_y)
+        res = m1_distance_detailed(xm, ym, resolution=16384)
+        assert monotone_m1_distance(xm, ym) == pytest.approx(
+            res.value, abs=res.tol + 1e-9
+        )
 
     def test_rejects_non_monotone(self):
         down = CadlagPath([0.0, 0.5], [1.0, 0.0])
@@ -398,74 +400,12 @@ class TestMonotone:
             monotone_m1_distance(down, STEP_05)
 
 
-class TestRatioProduct:
-    def test_ratio_identity_divisor(self, rng):
-        x = make_step_path(rng)
-        one = CadlagPath([0.0], [1.0])
-        out = ratio_path(x, one)
-        assert np.array_equal(
-            out.values[:, 0], np.atleast_2d(eval_path(x, out.times))[:, 0]
-        )
-
-    def test_ratio_pointwise_oracle(self):
-        y = CadlagPath([0.0, 0.5, 1.0], [2.0, 3.0, 4.0], PL)
-        x = CadlagPath([0.0], [2.0])
-        out = ratio_path(x, y)
-        for t in out.times:
-            want = 2.0 / eval_path(y, t)[0]
-            assert eval_path(out, t)[0] == pytest.approx(want)
-
-    def test_ratio_rejects_zero_start(self):
-        y = CadlagPath([0.0, 1.0], [0.0, 1.0], PL)
-        with pytest.raises(PreconditionError, match="y\\(0\\) > 0"):
-            ratio_path(STEP_05, y)
-
-    def test_ratio_rejects_decreasing(self):
-        y = CadlagPath([0.0, 1.0], [2.0, 1.0], PL)
-        with pytest.raises(PreconditionError, match="nondecreasing"):
-            ratio_path(STEP_05, y)
-
-    def test_product_identity(self, rng):
-        x = make_step_path(rng)
-        one = CadlagPath([0.0], [1.0])
-        out = product_path(x, one)
-        assert np.array_equal(
-            out.values[:, 0], np.atleast_2d(eval_path(x, out.times))[:, 0]
-        )
-
-    def test_product_square_of_step(self):
-        out = product_path(STEP_05, STEP_05)
-        assert eval_path(out, 0.4)[0] == 0.0
-        assert eval_path(out, 0.6)[0] == 1.0
-
-    def test_product_opposite_jump_warning(self):
-        up = STEP_05
-        down = CadlagPath([0.0, 0.5], [1.0, 0.0])
-        with pytest.warns(OppositeJumpWarning):
-            out = product_path(up, down)
-        assert eval_path(out, 0.6)[0] == 0.0
-
-
-class TestParametricRep:
-    def test_rep_on_graph(self, rng):
-        for _ in range(10):
-            x = make_step_path(rng)
-            rep = parametric_rep(x, resolution=200)
-            assert rep.r[0] == 0.0 and rep.r[-1] == 1.0
-            assert np.all(np.diff(rep.r) >= 0.0)
-            assert rep_graph_violation(rep, x) <= 1e-9
-
-    def test_rep_on_pl_graph(self):
-        ramp = CadlagPath([0.0, 0.4, 0.6], [0.0, 0.0, 1.0], PL)
-        rep = parametric_rep(ramp, resolution=64)
-        assert rep_graph_violation(rep, ramp) <= 1e-9
-
-
 class TestCsv:
     def test_roundtrip(self, rng):
         x = make_step_path(rng)
-        text = path_to_csv_text(x)
-        back = load_path_csv(io.StringIO(text))
+        buf = io.StringIO()
+        save_path_csv(x, buf)
+        back = load_path_csv(io.StringIO(buf.getvalue()))
         assert back.kind == x.kind
         assert np.array_equal(back.times, x.times)
         assert np.array_equal(back.values, x.values)

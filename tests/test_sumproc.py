@@ -4,42 +4,19 @@ import numpy as np
 import pytest
 
 from m1lab.models import IidSpec, RegVarSpec, an_theoretical, derive_seed, sample_iid
-from m1lab.paths import eval_path, uniform_distance
+from m1lab.paths import eval_path
 from m1lab.sumproc import (
     CenteringConstants,
     JointPathPair,
-    PointMeasure,
     SumProcessError,
     build_Ln,
-    build_point_measure,
     centering_constants,
     collapse_clusters,
     save_joint_csv,
     self_normalized_at,
     self_normalized_path,
-    truncate_Ln,
 )
 from m1lab.tailstats import BlockingScheme
-
-
-class TestPointMeasure:
-    def test_zero_dropped(self):
-        pm = build_point_measure([1.0, 0.0, -2.0, 3.0], 1.0)
-        assert np.array_equal(pm.times, [0.25, 0.75, 1.0])
-        assert np.array_equal(pm.marks, [1.0, -2.0, 3.0])
-
-    def test_all_zero_empty(self):
-        pm = build_point_measure([0.0, 0.0], 1.0)
-        assert pm.times.size == 0
-
-    def test_joint_rescaling_invariance(self):
-        a = build_point_measure([1.0, -2.0], 2.0)
-        b = build_point_measure([4.0, -8.0], 8.0)
-        assert np.array_equal(a.marks, b.marks)
-
-    def test_marks_nonzero_invariant(self):
-        with pytest.raises(SumProcessError):
-            PointMeasure(np.array([0.5]), np.array([0.0]))
 
 
 class TestCentering:
@@ -109,39 +86,6 @@ class TestBuildLn:
         finals = np.asarray(finals)
         se = finals.std(ddof=1) / math.sqrt(finals.size)
         assert abs(finals.mean()) <= 4.0 * se
-
-
-class TestTruncate:
-    def test_below_min_mark_matches_full(self):
-        x = np.array([1.0, -2.0, 3.0, 0.5])
-        pm = build_point_measure(x, 1.0)
-        full = build_Ln(x, 1.0)
-        tr = truncate_Ln(pm, 0.1)
-        assert uniform_distance(tr.l1, full.l1) == 0.0
-        assert uniform_distance(tr.l2, full.l2) == 0.0
-
-    def test_above_max_zero_paths(self):
-        pm = build_point_measure([1.0, -2.0], 1.0)
-        tr = truncate_Ln(pm, 10.0)
-        assert np.all(tr.l1.values == 0.0)
-        assert np.all(tr.l2.values == 0.0)
-
-    def test_indicator_arithmetic(self):
-        pm = PointMeasure(np.array([0.25, 0.5, 0.75]), np.array([1.0, -2.0, 3.0]))
-        tr = truncate_Ln(pm, 1.5)
-        assert np.array_equal(tr.l1.values[:, 0], [0.0, -2.0, 1.0])
-        assert np.array_equal(tr.l2.values[:, 0], [0.0, 4.0, 13.0])
-
-    def test_consistency_as_u_decreases(self, rng):
-        x = rng.standard_normal(200) * (1.0 - rng.random(200)) ** (-1.0)
-        pm = build_point_measure(x, float(np.abs(x).max()))
-        full = build_Ln(x, float(np.abs(x).max()))
-        mags = np.sort(np.abs(pm.marks))
-        gaps = []
-        for u in (mags[-5], mags[len(mags) // 2], mags[2], mags[0] / 2.0):
-            gaps.append(uniform_distance(truncate_Ln(pm, u).l1, full.l1))
-        assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] == 0.0
 
 
 class TestSelfNormalized:

@@ -17,11 +17,9 @@ from m1lab.tailstats import (
     an_empirical,
     anticluster_diagnostic,
     diagnose,
-    empirical_tail_process,
     extremal_index_blocks,
     hill_alpha,
     sign_switch_diagnostic,
-    small_jump_diagnostic,
 )
 
 
@@ -184,69 +182,6 @@ class TestSignSwitch:
         u = np.quantile(np.abs(s.values), 1.0 - 20.0 / 10**5)
         # with ~20 exceedances in ~316 blocks, collisions are rare
         assert sign_switch_diagnostic(s.values, scheme, u) <= 2
-
-
-class TestSmallJump:
-    def test_curve_vanishes_small_u_alpha_below_one(self):
-        spec = IidSpec(RegVarSpec(0.5, p=1.0))
-        n = 10**4
-        a_n = an_theoretical(spec, n)
-        reps = [sample_iid(spec, n, derive_seed(71, r)).values for r in range(60)]
-        c1, c2 = small_jump_diagnostic(reps, a_n, [0.1, 0.01, 0.001], delta=0.5)
-        vals = [c1[u] for u in (0.1, 0.01, 0.001)]
-        assert vals[0] >= vals[1] >= vals[2]
-        assert vals[2] == 0.0
-        # matches the analytic tail bound shape: eps^{-1} alpha u^{1-alpha}/(1-alpha)
-        bound = 0.5 ** (-1) * 0.5 * 0.01**0.5 * (1 / 0.5 + 0.01 / 1.5)
-        assert vals[1] <= bound + 3.0 * np.sqrt(bound / 60)
-
-    def test_huge_delta_zero(self):
-        spec = IidSpec(RegVarSpec(0.5, p=1.0))
-        reps = [sample_iid(spec, 1000, derive_seed(72, r)).values for r in range(5)]
-        c1, c2 = small_jump_diagnostic(reps, 1000.0**2, [0.5], delta=1e6)
-        assert c1[0.5] == 0.0 and c2[0.5] == 0.0
-
-    def test_centered_curve_reported(self):
-        spec = IidSpec(RegVarSpec(1.2, p=0.5))
-        n = 2000
-        a_n = an_theoretical(spec, n)
-        reps = [sample_iid(spec, n, derive_seed(73, r)).values for r in range(20)]
-        c1, c2 = small_jump_diagnostic(reps, a_n, [0.5, 0.1], delta=0.2, centered=True)
-        assert set(c1) == {0.5, 0.1}
-        assert all(0.0 <= v <= 1.0 for v in c1.values())
-        assert all(0.0 <= v <= 1.0 for v in c2.values())
-
-
-class TestTailProcess:
-    def test_iid_concentrates_off_anchor(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0, p=1.0)), 10**6, seed=51)
-        u = np.quantile(np.abs(s.values), 0.999)
-        out = empirical_tail_process(s.values, u, lag_window=2)
-        assert out[0].quantiles["q50"] >= 1.0  # anchor ratio is >= 1 by definition
-        assert out[1].near_zero_mass > 0.9
-        assert out[-1].near_zero_mass > 0.9
-
-    def test_ma_lag_one_mass_at_half(self):
-        lin = LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0))
-        s = sample_linear(lin, 10**6, seed=52)
-        u = np.quantile(np.abs(s.values), 0.9995)
-        out = empirical_tail_process(s.values, u, lag_window=1)
-        ratios_mass_near_half_or_zero = out[1].near_zero_mass
-        # anchor law: lag-1 ratio sits near 0.5 (anchor at the innovation) or
-        # near 0 / large depending on the anchor position; the median reflects
-        # the dominant 0.5 branch
-        assert out[1].quantiles["q75"] == pytest.approx(0.5, abs=0.1)
-
-    def test_scale_invariance(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0, p=1.0)), 10**5, seed=53)
-        u = np.quantile(np.abs(s.values), 0.995)
-        a = empirical_tail_process(s.values, u, 1)
-        b = empirical_tail_process(8.0 * s.values, 8.0 * u, 1)
-        assert a[0].quantiles == b[0].quantiles
-
-    def test_insufficient_anchors(self):
-        with pytest.raises(EstimatorError, match="anchors"):
-            empirical_tail_process(np.ones(200), 2.0, 1)
 
 
 class TestDiagnosticsBundle:
