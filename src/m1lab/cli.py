@@ -78,9 +78,17 @@ def _open_out(path):
         raise SystemExit(EXIT_IO) from None
 
 
+def _positive_int(raw):
+    """argparse type of a sample size: an integer >= 1."""
+    n = int(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw}")
+    return n
+
+
 def _cmd_simulate(args):
     cfg, _ = _load_config(args)
-    n = args.n or max(cfg.n_grid)
+    n = max(cfg.n_grid) if args.n is None else args.n
     sample = sample_model(cfg.model, n, cfg.seed)
     out = _open_out(args.out)
     try:
@@ -113,7 +121,7 @@ def _cmd_estimate(args):
             print(f"error: malformed data: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        n = args.n or max(cfg.n_grid)
+        n = max(cfg.n_grid) if args.n is None else args.n
         sample = sample_model(cfg.model, n, cfg.seed)
         values = sample.values if sample.values.ndim == 1 else sample.values[:, 0]
     try:
@@ -255,14 +263,14 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate a model sample as CSV")
     common(p)
-    p.add_argument("--n", type=int, help="sample size (default: max of n_grid)")
+    p.add_argument("--n", type=_positive_int, help="sample size (default: max of n_grid)")
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="tail diagnostics as JSONL")
     common(p)
     p.add_argument("--data", help="input sample CSV (i,x); default: simulate")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
 
@@ -291,8 +299,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK

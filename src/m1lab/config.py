@@ -135,6 +135,21 @@ class ExperimentConfig:
     m1_resolution: int
     tolerances: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # run on every construction, dataclasses.replace included
+        n_grid = self.n_grid
+        if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+            raise ConfigError("key 'run.n_grid': sample sizes must be strictly increasing")
+        if any(t < 0.0 or t > 1.0 for t in self.t_grid) or 1.0 not in self.t_grid:
+            raise ConfigError("key 'run.t_grid': times must lie in [0,1] and include 1")
+        if not 0.0 < self.kappa < 1.0:
+            raise ConfigError(f"key 'run.kappa': {self.kappa} outside the valid range (0,1)")
+        # the Karamata limits u^{1-alpha} alpha/(1-alpha) need these ranges
+        if not all(0.0 < a < 1.0 for a in self.karamata_alphas):
+            raise ConfigError("key 'run.karamata_alphas': every alpha must lie in (0,1)")
+        if not all(u > 0.0 for u in self.karamata_u_grid):
+            raise ConfigError("key 'run.karamata_u_grid': truncation levels must be positive")
+
     def canonical_text(self):
         import dataclasses
 
@@ -187,7 +202,10 @@ def _build_model(values):
     if variant == "iid":
         return IidSpec(RegVarSpec(alpha, p))
     if variant == "linear":
-        return LinearSpec(values[("model", "coeffs")], RegVarSpec(alpha, p))
+        try:
+            return LinearSpec(values[("model", "coeffs")], RegVarSpec(alpha, p))
+        except ModelError as exc:
+            raise ConfigError(f"model: {exc}") from None
     if variant in ("garch", "squared_garch"):
         try:
             inner = GarchSpec(
@@ -236,20 +254,6 @@ def parse_config(text, overrides=(), env=None):
                     echo.append(f"{sec}.{key} = {default!r} (default)")
 
     model = _build_model(values)
-    n_grid = values[("run", "n_grid")]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigError("key 'run.n_grid': sample sizes must be strictly increasing")
-    t_grid = values[("run", "t_grid")]
-    if any(t < 0.0 or t > 1.0 for t in t_grid) or 1.0 not in t_grid:
-        raise ConfigError("key 'run.t_grid': times must lie in [0,1] and include 1")
-    kappa = values[("run", "kappa")]
-    if not 0.0 < kappa < 1.0:
-        raise ConfigError(f"key 'run.kappa': {kappa} outside the valid range (0,1)")
-    # the Karamata limits u^{1-alpha} alpha/(1-alpha) need these ranges
-    if not all(0.0 < a < 1.0 for a in values[("run", "karamata_alphas")]):
-        raise ConfigError("key 'run.karamata_alphas': every alpha must lie in (0,1)")
-    if not all(u > 0.0 for u in values[("run", "karamata_u_grid")]):
-        raise ConfigError("key 'run.karamata_u_grid': truncation levels must be positive")
     tolerances = {key: values[("tolerances", key)] for key in SCHEMA["tolerances"]}
     run = {key: values[("run", key)] for key in SCHEMA["run"]}
     return ExperimentConfig(model=model, tolerances=tolerances, **run), echo

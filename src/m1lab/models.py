@@ -160,17 +160,9 @@ def linear_cluster_law(spec):
 
     One large innovation of sign s produces the run s * coeffs; normalized
     by the largest magnitude the marks are s * coeffs / max|coeffs|.  The
-    anchor index M (position of the conditioning observation within the
-    cluster) has P(M=m) = |coeff_m|^alpha / sum_j |coeff_j|^alpha.  The sign
-    variable is +/-1 with weights (p, q) of the innovation law.
+    sign variable is +/-1 with weights (p, q) of the innovation law.
     """
-    alpha = spec.innovation.alpha
-    a = np.abs(np.asarray(spec.coeffs)) ** alpha
-    return ClusterDistribution(
-        p=spec.innovation.p,
-        shape=np.asarray(spec.coeffs),
-        anchor_probs=a / a.sum(),
-    )
+    return ClusterDistribution(p=spec.innovation.p, shape=np.asarray(spec.coeffs))
 
 
 def iid_cluster_law(spec):
@@ -308,10 +300,7 @@ def model_cluster_law(spec):
         return iid_cluster_law(spec)
     if isinstance(spec, LinearSpec):
         return linear_cluster_law(spec)
-    raise ModelError(
-        "no analytic cluster law for this model; extract one empirically "
-        "(clusters.extract_empirical_clusters)"
-    )
+    raise ModelError("no analytic cluster law for this model (iid or linear only)")
 
 
 def model_extremal_index(spec):

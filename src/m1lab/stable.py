@@ -10,7 +10,7 @@ point * mark, the second sums the squares.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +50,6 @@ class CharTriple:
     p: float = 1.0
     q: float = 0.0
     gamma1_flagged: bool = False
-    se: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -138,39 +137,15 @@ def gamma2_for(alpha, theta, r2):
     return base - alpha / (2.0 - alpha)
 
 
-def triple_from_cluster(alpha, theta, cluster, p=None, q=None, mc_size=10**5, seed=0):
+def triple_from_cluster(alpha, theta, cluster, p=None, q=None):
     """Characteristic constants from a cluster mark law.
 
     c_plus = E[(sum eta)^alpha; sum > 0], c_minus the mirror image, r2 =
-    E(sum eta^2)^{alpha/2}.  Deterministic-shape laws are evaluated exactly;
-    otherwise Monte Carlo with attached standard errors.  When p is omitted
-    it is recovered from the marginal-consistency identity
+    E(sum eta^2)^{alpha/2}, evaluated exactly on the deterministic shape.
+    When p is omitted it is recovered from the marginal-consistency identity
     p - q = theta * E[sum_j sign(eta_j)|eta_j|^alpha].
     """
-    if mc_size < 10**4:
-        raise StableError("mc_size >= 1e4 required for stable constants")
-    se = {}
-    if cluster.is_deterministic:
-        c_plus, c_minus, r2, _mean_sum, _mean_sq, signed = cluster.exact_sum_moments(alpha)
-    else:
-        rng = np.random.default_rng(seed)
-        marks = cluster.sample(rng, mc_size)
-        sums = marks.sum(axis=1)
-        sq = (marks**2).sum(axis=1)
-        yp = np.where(sums > 0, sums, 0.0) ** alpha * (sums > 0)
-        ym = np.where(sums < 0, -sums, 0.0) ** alpha * (sums < 0)
-        yr = sq ** (alpha / 2.0)
-        ysgn = (np.sign(marks) * np.abs(marks) ** alpha).sum(axis=1)
-        c_plus = float(yp.mean())
-        c_minus = float(ym.mean())
-        r2 = float(yr.mean())
-        signed = float(ysgn.mean())
-        rt = math.sqrt(mc_size)
-        se = {
-            "c_plus": float(yp.std(ddof=1)) / rt,
-            "c_minus": float(ym.std(ddof=1)) / rt,
-            "r2": float(yr.std(ddof=1)) / rt,
-        }
+    c_plus, c_minus, r2, _mean_sum, _mean_sq, signed = cluster.exact_sum_moments(alpha)
     if p is None:
         diff = theta * signed
         p = (1.0 + diff) / 2.0
@@ -191,7 +166,6 @@ def triple_from_cluster(alpha, theta, cluster, p=None, q=None, mc_size=10**5, se
         p=p,
         q=q,
         gamma1_flagged=flagged,
-        se=se,
     )
 
 
@@ -330,19 +304,13 @@ class _Series(NamedTuple):
 
 
 def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_correction):
-    """The series behind both samplers, with the RNG consumed in one order:
-    Poisson points, jump times, then cluster marks.
-
-    ``batch = ()`` draws a single series whose truncation level is a numpy
-    scalar, so its sd guard and drift corrections are scalar arithmetic,
-    except the mark drift rate, which always sees an array.  Scalar and
-    array ``**`` can differ in the last bit; these forms keep the bits the
-    two samplers have always produced.
+    """The series behind both samplers, for a batch of draws, with the RNG
+    consumed in one order: Poisson points, jump times, then cluster marks.
 
     The points are built in the buffer of their running sum, and the
     squares of the points and of the marks overwrite them once nothing else
     reads them; ``marks`` is always a fresh array, never a view of the
-    cluster's shape or pool.
+    cluster's shape.
     """
     if n_pts < 10**3:
         raise StableError("n_pts >= 1e3 required")
@@ -359,11 +327,10 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
     np.power(pts, -1.0 / a, out=pts)
     times = rng.random(shape)
     marks = cluster.sample(rng, math.prod(shape)).reshape(shape + (-1,))
-    # [()] turns the 0-d array of one series into a scalar; a batch's levels
-    # are copied out of pts, which is squared in place below
-    u = pts[..., -1].copy()[()]
+    # the levels are copied out of pts, which is squared in place below
+    u = pts[..., -1].copy()
     if small_tail_correction:
-        mean_sum, mean_sq = _cluster_mean_moments(cluster, a, marks)
+        _cp, _cm, _r2, mean_sum, mean_sq, _sgn = cluster.exact_sum_moments(a)
 
     if a >= 1.0:
         var = theta * a * (triple.c_plus + triple.c_minus) * u ** (2.0 - a) / (2.0 - a)
@@ -375,18 +342,18 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
             )
         keep = pts[..., None] * np.abs(marks) > u[..., None, None]
         jump1 = pts * (marks * keep).sum(axis=-1)
-        drift1 = _mark_drift_rate(triple, np.atleast_1d(u)).reshape(np.shape(u))
+        drift1 = _mark_drift_rate(triple, u)
     else:
         var = 0.0
         jump1 = pts * marks.sum(axis=-1)
         if small_tail_correction:
             drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
         else:
-            drift1 = np.zeros(np.shape(u))
+            drift1 = np.zeros(batch)
     if small_tail_correction:
         drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
     else:
-        drift2 = np.zeros(np.shape(u))
+        drift2 = np.zeros(batch)
     jump2 = np.square(marks, out=marks).sum(axis=-1)
     np.multiply(np.square(pts, out=pts), jump2, out=jump2)
     return _Series(times, jump1, jump2, u, drift1, drift2, var)
@@ -401,13 +368,6 @@ def _mark_drift_rate(triple, u):
     if a == 1.0:
         return diff * np.log(1.0 / uu)
     return diff * a * (uu ** (1.0 - a) - 1.0) / (a - 1.0)
-
-
-def _cluster_mean_moments(cluster, alpha, marks):
-    if cluster.is_deterministic:
-        _cp, _cm, _r2, mean_sum, mean_sq, _sgn = cluster.exact_sum_moments(alpha)
-        return mean_sum, mean_sq
-    return float(marks.sum(axis=-1).mean()), float((marks**2).sum(axis=-1).mean())
 
 
 def levy_marginal_draws(
@@ -432,29 +392,32 @@ def levy_marginal_draws(
     contribution is added back as a deterministic drift unless
     ``small_tail_correction`` is disabled.
     """
-    s = _levy_series(
+    times, jump1, jump2, _u, drift1, drift2, _var = _levy_series(
         triple, cluster, (n_draws,), n_pts, seed, tail_sd_tol, small_tail_correction
     )
     t_grid = np.asarray(t_grid, dtype=float)
     # one flat gather per coordinate: row r's sorted jumps sit at flat
-    # offsets r * n_pts + order[r]
-    order = np.argsort(s.times, axis=1)
+    # offsets r * n_pts + order[r]; each source is freed once gathered, so
+    # the grid stage keeps only times, c1 and c2
+    order = np.argsort(times, axis=1)
     order += np.arange(n_draws)[:, None] * n_pts
-    c1 = np.take(s.jump1, order)
-    c2 = np.take(s.jump2, order)
+    c1 = np.take(jump1, order)
+    del jump1
+    c2 = np.take(jump2, order)
+    del jump2, order
     np.cumsum(c1, axis=1, out=c1)
     np.cumsum(c2, axis=1, out=c2)
     l1 = np.empty((n_draws, t_grid.size))
     l2 = np.empty((n_draws, t_grid.size))
     for j, t in enumerate(t_grid):
         # a row's times are the same multiset sorted or not
-        counts = np.count_nonzero(s.times <= t, axis=1)
+        counts = np.count_nonzero(times <= t, axis=1)
         has = counts > 0
         l1[:, j] = np.where(has, c1[np.arange(n_draws), np.maximum(counts - 1, 0)], 0.0)
         l2[:, j] = np.where(has, c2[np.arange(n_draws), np.maximum(counts - 1, 0)], 0.0)
-        l1[:, j] -= t * s.drift1
-        l2[:, j] -= t * s.drift2
-    l2_total = c2[:, -1] - s.drift2
+        l1[:, j] -= t * drift1
+        l2[:, j] -= t * drift2
+    l2_total = c2[:, -1] - drift2
     return {"t_grid": t_grid, "l1": l1, "l2": l2, "l2_total": l2_total}
 
 
@@ -475,16 +438,18 @@ def simulate_levy_pair(
     emitted uncentered (nondecreasing); for alpha >= 1 the centered version
     subtracts t * meta['b2_shift'].
     """
-    s = _levy_series(triple, cluster, (), n_pts, seed, tail_sd_tol, small_tail_correction)
+    s = _levy_series(triple, cluster, (1,), n_pts, seed, tail_sd_tol, small_tail_correction)
     a = triple.alpha
-    drift1 = float(s.drift1)
-    drift2 = float(s.drift2)
+    times = s.times[0]
+    u = float(s.u[0])
+    drift1 = float(s.drift1[0])
+    drift2 = float(s.drift2[0])
     grid = np.linspace(0.0, 1.0, drift_grid + 1)
-    all_times = np.union1d(s.times, grid)
-    order = np.argsort(s.times)
-    ts = s.times[order]
-    cs1 = np.cumsum(s.jump1[order])
-    cs2 = np.cumsum(s.jump2[order])
+    all_times = np.union1d(times, grid)
+    order = np.argsort(times)
+    ts = times[order]
+    cs1 = np.cumsum(s.jump1[0][order])
+    cs2 = np.cumsum(s.jump2[0][order])
     idx = np.searchsorted(ts, all_times, side="right")
     v1 = np.where(idx > 0, cs1[np.maximum(idx - 1, 0)], 0.0) - all_times * drift1
     v2 = np.where(idx > 0, cs2[np.maximum(idx - 1, 0)], 0.0) - all_times * drift2
@@ -493,19 +458,18 @@ def simulate_levy_pair(
         v1 = np.concatenate([[0.0], v1])
         v2 = np.concatenate([[0.0], v2])
     meta = {
-        "u_trunc": float(s.u),
+        "u_trunc": u,
         "b2_shift": a / (2.0 - a) if a >= 1.0 else 0.0,
         "l1_total": float(cs1[-1] - drift1),
         "l2_total": float(cs2[-1] - drift2),
-        "remainder_var": float(s.remainder_var),
+        "remainder_var": float(np.atleast_1d(s.remainder_var)[0]),
     }
     return JointPathPair(
         l1=CadlagPath(all_times, v1, STEP),
         l2=CadlagPath(all_times, v2, STEP),
         n=n_pts,
         a_n=float("nan"),
-        centered=a >= 1.0,
-        u=float(s.u),
+        u=u,
         b1n=drift1,
         b2n=drift2,
     ), meta

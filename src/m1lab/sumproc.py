@@ -45,7 +45,6 @@ class JointPathPair:
     l2: CadlagPath
     n: int
     a_n: float
-    centered: bool = False
     u: float | None = None
     b1n: float = 0.0
     b2n: float = 0.0
@@ -95,9 +94,8 @@ def centering_constants(spec, a_n, n, mc_size=10**6, seed=0, se_tol=None):
     return CenteringConstants(b1n, b2n, alpha, se1, se2)
 
 
-def build_Ln(data, a_n, constants=None):
-    """Step-path pair on breakpoints k/n: partial sums of X/a_n and X^2/a_n^2,
-    minus k * b1n / k * b2n when centering constants are supplied."""
+def build_Ln(data, a_n):
+    """Step-path pair on breakpoints k/n: partial sums of X/a_n and X^2/a_n^2."""
     x = np.asarray(data, dtype=float)
     if x.size == 0:
         raise SumProcessError("need a nonempty sample")
@@ -105,21 +103,11 @@ def build_Ln(data, a_n, constants=None):
     times = np.arange(n + 1) / n
     s1 = np.concatenate([[0.0], np.cumsum(x / a_n)])
     s2 = np.concatenate([[0.0], np.cumsum((x / a_n) ** 2)])
-    centered = constants is not None and (constants.b1n != 0.0 or constants.b2n != 0.0)
-    b1n = constants.b1n if constants is not None else 0.0
-    b2n = constants.b2n if constants is not None else 0.0
-    if constants is not None:
-        k = np.arange(n + 1)
-        s1 = s1 - k * b1n
-        s2 = s2 - k * b2n
     return JointPathPair(
         l1=CadlagPath(times, s1, STEP),
         l2=CadlagPath(times, s2, STEP),
         n=n,
         a_n=a_n,
-        centered=centered,
-        b1n=b1n,
-        b2n=b2n,
     )
 
 

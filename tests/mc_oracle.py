@@ -14,12 +14,7 @@ import math
 
 import numpy as np
 
-from m1lab.stable import (
-    StableError,
-    _cluster_mean_moments,
-    _mark_drift_rate,
-    _Series,
-)
+from m1lab.stable import StableError, _mark_drift_rate, _Series
 
 
 def karamata_sums(rng, alpha, a_n, u_grid, total):
@@ -48,11 +43,8 @@ def pareto_draws(rv, n, rng):
 
 
 def cluster_sample(cluster, rng, size):
-    if cluster.is_deterministic:
-        signs = np.where(rng.random(size) < cluster.p, 1.0, -1.0)
-        return signs[:, None] * cluster.shape[None, :]
-    idx = rng.integers(0, cluster.pool.shape[0], size=size)
-    return cluster.pool[idx]
+    signs = np.where(rng.random(size) < cluster.p, 1.0, -1.0)
+    return signs[:, None] * cluster.shape[None, :]
 
 
 def marginal_draws(s, t_grid):
@@ -90,7 +82,7 @@ def levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_cor
     marks = cluster.sample(rng, math.prod(shape)).reshape(shape + (-1,))
     u = pts[..., -1][()]
     if small_tail_correction:
-        mean_sum, mean_sq = _cluster_mean_moments(cluster, a, marks)
+        _cp, _cm, _r2, mean_sum, mean_sq, _sgn = cluster.exact_sum_moments(a)
 
     if a >= 1.0:
         var = theta * a * (triple.c_plus + triple.c_minus) * u ** (2.0 - a) / (2.0 - a)

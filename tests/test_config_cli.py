@@ -59,6 +59,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="n_grid"):
             parse_config("[run]\nn_grid = 100, 100\n")
 
+    def test_programmatic_config_validated(self):
+        # keyword overrides go through the same range checks as parsed keys
+        with pytest.raises(ConfigError, match="key 'run.karamata_alphas'"):
+            default_config(karamata_alphas=(1.0,))
+
     def test_digest_stable_and_sensitive(self):
         a = default_config()
         b = default_config()
@@ -151,6 +156,11 @@ class TestModelExitCodes:
             GARCH + ["--set", "model.a1=0.1", "--set", "model.b1=1.0"], 2, MODEL_ERROR
         ),
         "nonpositive_omega": (GARCH + ["--set", "model.omega=-1"], 2, MODEL_ERROR),
+        "all_zero_coeffs": (
+            ["--set", "model.variant=linear", "--set", "model.coeffs=0,0"], 2, MODEL_ERROR
+        ),
+        "negative_n": (["--n", "-5"], 2, "usage: "),
+        "zero_n": (["--n", "0"], 2, "usage: "),
         "out_in_missing_dir": (
             ["--out", "{tmp}/no_such_dir/x.csv"], 3, "error: cannot write output: "
         ),
@@ -189,6 +199,8 @@ class TestEstimateExitCodes:
             None, ["--n", "2000", "--out", "{tmp}/no_such_dir/d.jsonl"], 3,
             "error: cannot write output: ",
         ),
+        "negative_n": (None, ["--n", "-5"], 2, "usage: "),
+        "zero_n": (None, ["--n", "0"], 2, "usage: "),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from m1lab.clusters import ClusterDistribution, extract_empirical_clusters, singleton_cluster
+from m1lab.clusters import singleton_cluster
 from m1lab.models import (
     GarchSpec,
     IidSpec,
@@ -116,10 +116,6 @@ class TestClusterLaw:
         assert set(np.unique(draws)) <= {-1.0, 1.0}
         assert np.mean(draws > 0) == pytest.approx(0.7, abs=0.03)
 
-    def test_anchor_law(self):
-        cl = linear_cluster_law(LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0)))
-        assert cl.anchor_probs == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
-
     def test_marks_normalized(self):
         cl = linear_cluster_law(LinearSpec((2.0, 1.0), RegVarSpec(1.0, p=1.0)))
         assert np.abs(cl.shape).max() == 1.0
@@ -128,14 +124,6 @@ class TestClusterLaw:
         cl = linear_cluster_law(LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0)))
         draws = cl.sample(rng, 100)
         assert np.all(draws >= 0.0)
-
-    def test_empirical_extraction(self):
-        lin = LinearSpec((1.0, 1.0), RegVarSpec(0.8, p=1.0))
-        s = sample_linear(lin, 10**5, seed=21)
-        u = np.quantile(np.abs(s.values), 0.999)
-        pool = extract_empirical_clusters(s.values, u, gap=3)
-        assert pool.pool.shape[0] >= 10
-        assert np.allclose(np.abs(pool.pool).max(axis=1), 1.0)
 
     def test_marginal_consistency_identity(self):
         # theta * E[sum |eta|^alpha] = 1 and the signed version gives p - q

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from m1lab.clusters import extract_empirical_clusters, singleton_cluster
+from m1lab.clusters import singleton_cluster
 from m1lab.models import (
     IidSpec,
     LinearSpec,
@@ -13,7 +13,6 @@ from m1lab.models import (
     linear_cluster_law,
     linear_extremal_index,
     model_positive_weight,
-    sample_linear,
 )
 from m1lab.stable import (
     CharTriple,
@@ -41,20 +40,6 @@ class TestTripleFromCluster:
         assert tr.c_minus == pytest.approx(0.7)
         assert tr.r2 == 1.0
 
-    def test_ma_exact_vs_monte_carlo(self, rng):
-        lin = LinearSpec((1.0, 0.5), RegVarSpec(1.2, p=1.0))
-        cl = linear_cluster_law(lin)
-        theta = linear_extremal_index(lin)
-        exact = triple_from_cluster(1.2, theta, cl, p=1.0)
-        # force the Monte Carlo route through an empirical pool of the same law
-        pool = extract_empirical_clusters(
-            np.concatenate([[0.0, 1.0, 0.5, 0.0]] * 500), 0.25, gap=1
-        )
-        mc = triple_from_cluster(1.2, theta, pool, p=1.0, mc_size=2 * 10**4, seed=3)
-        assert exact.c_plus == pytest.approx(1.5**1.2)
-        assert mc.c_plus == pytest.approx(exact.c_plus, abs=3 * max(mc.se["c_plus"], 1e-12) + 1e-9)
-        assert mc.r2 == pytest.approx(exact.r2, abs=3 * max(mc.se["r2"], 1e-12) + 1e-9)
-
     def test_gamma_branches(self):
         assert gamma1_for(0.5, 1.0, 1.0, 0.0, 1.0, 0.0) == pytest.approx(1.0)
         # alpha > 1: alpha/(alpha-1) * (p - q - theta*(c+ - c-)) with c+ = p
@@ -65,10 +50,6 @@ class TestTripleFromCluster:
         tr = triple_from_cluster(1.0, 1.0, singleton_cluster(0.8))
         assert tr.gamma1_flagged
         assert tr.gamma1 == 0.0
-
-    def test_mc_size_floor(self):
-        with pytest.raises(StableError):
-            triple_from_cluster(0.8, 1.0, singleton_cluster(1.0), mc_size=10)
 
     def test_moment_inequality(self):
         # c+ + c- <= E(sum |eta|)^alpha for any cluster law
@@ -259,18 +240,6 @@ class TestSeries:
         at_1 = s ** (1.0 / alpha) * (d["l1"][:, 1] - sp.tau)
         assert ks_2samp(at_s, at_1).statistic < 0.06
 
-    def test_moment_condition_running_mean(self, rng):
-        # E(sum |eta|)^alpha stable across sample sizes for alpha <= 1 laws
-        lin = LinearSpec((1.0, 1.0), RegVarSpec(0.8, p=1.0))
-        s = sample_linear(lin, 10**5, seed=31)
-        u = np.quantile(np.abs(s.values), 0.999)
-        pool = extract_empirical_clusters(s.values, u, gap=2)
-        draws = pool.sample(rng, 10**5)
-        y = np.abs(draws).sum(axis=1) ** 0.8
-        m_small = y[: 10**4].mean()
-        m_big = y.mean()
-        assert abs(m_big - m_small) / m_big <= 0.02
-
     def test_cluster_clusters_share_poisson_points(self):
         # one draw: l1_total and l2_total come from the same realization
         cl = singleton_cluster(1.0)
@@ -280,21 +249,17 @@ class TestSeries:
         assert meta["l2_total"] == pytest.approx(pair.l2.values[-1, 0], rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.2, 1.5])
-    @pytest.mark.parametrize(
-        "coeffs,p", [((1.0,), 0.6), ((1.0, 0.5), 0.7), ((1.0, -0.6, 0.3), 0.5)]
-    )
+    @pytest.mark.parametrize("p", [0.5, 0.6, 0.7, 1.0])
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.5), (1.0, -0.6, 0.3)])
     def test_path_and_draws_share_one_series(self, alpha, coeffs, p):
         # At one seed both samplers draw the same Poisson points and marks, so
-        # the path's totals are the single draw's values at t = 1.  Exact
-        # equality holds on these cases; the drifts are computed on a scalar
-        # by the path and on an array by the draws, and those two forms of
-        # ** can disagree in the last bit on other cases.
+        # the path's totals are the single draw's values at t = 1, exactly.
         spec = LinearSpec(coeffs, RegVarSpec(alpha, p=p))
         cl = linear_cluster_law(spec)
         tr = triple_from_cluster(
             alpha, linear_extremal_index(spec), cl, p=model_positive_weight(spec)
         )
-        for seed in range(4):
+        for seed in range(8):
             pair, meta = simulate_levy_pair(tr, cl, n_pts=1000, seed=seed)
             d = levy_marginal_draws(tr, cl, [1.0], 1, n_pts=1000, seed=seed)
             assert meta["l1_total"] == d["l1"][0, 0]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from m1lab.models import IidSpec, RegVarSpec, an_theoretical, derive_seed, sample_iid
+from m1lab.lab import _partial_sum_marginals
+from m1lab.models import IidSpec, RegVarSpec, an_theoretical
 from m1lab.paths import eval_path
 from m1lab.sumproc import (
     CenteringConstants,
@@ -67,7 +68,6 @@ class TestBuildLn:
         x = rng.standard_normal(100)
         pair = build_Ln(x, 2.0)
         assert pair.l2.values[-1, 0] * 4.0 == pytest.approx(np.sum(x * x), rel=1e-12)
-        assert not pair.centered
 
     def test_uncentered_l2_nondecreasing(self, rng):
         x = rng.standard_normal(500)
@@ -75,15 +75,10 @@ class TestBuildLn:
         assert np.all(np.diff(pair.l2.values[:, 0]) >= 0.0)
 
     def test_centered_symmetric_mean_near_zero(self):
+        # the lab's centered partial sums, at the final grid time
         spec = IidSpec(RegVarSpec(1.5, p=0.5))
-        n = 500
-        a_n = an_theoretical(spec, n)
-        cc = centering_constants(spec, a_n, n)
-        finals = []
-        for rep in range(1000):
-            x = sample_iid(spec, n, derive_seed(17, rep)).values
-            finals.append(build_Ln(x, a_n, cc).l1.values[-1, 0])
-        finals = np.asarray(finals)
+        rep1, _rep2, _a_n = _partial_sum_marginals(spec, 500, [1.0], 1000, 17, centered=True)
+        finals = rep1[:, -1]
         se = finals.std(ddof=1) / math.sqrt(finals.size)
         assert abs(finals.mean()) <= 4.0 * se
 
