@@ -58,6 +58,10 @@ class TestTripleFromCluster:
         tr = triple_from_cluster(0.9, linear_extremal_index(lin), cl)
         abs_moment = np.sum(np.abs(cl.shape)) ** 0.9
         assert tr.c_plus + tr.c_minus <= abs_moment + 1e-12
+        # marks of one sign with p = 1 attain the bound exactly
+        lin = LinearSpec((1.0, 0.5), RegVarSpec(1.2, p=1.0))
+        tr = triple_from_cluster(1.2, linear_extremal_index(lin), linear_cluster_law(lin), p=1.0)
+        assert tr.c_plus == pytest.approx(1.5**1.2) and tr.c_minus == 0.0
 
 
 class TestCharFn:
