@@ -26,6 +26,7 @@ from .models import (
     SquaredGarchSpec,
     require_stationary_garch,
 )
+from .stable import MIN_SERIES_POINTS
 
 
 class ConfigError(ValueError):
@@ -140,6 +141,17 @@ class ExperimentConfig:
         n_grid = self.n_grid
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ConfigError("key 'run.n_grid': sample sizes must be strictly increasing")
+        for key in ("n_grid", "contrast_n_grid"):
+            if any(n < 1 for n in getattr(self, key)):
+                raise ConfigError(f"key 'run.{key}': sample sizes must be at least 1")
+        for key in ("limit_draws", "theta_replicates", "contrast_replicates", "karamata_n",
+                    "karamata_mc", "slutsky_n", "slutsky_replicates"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"key 'run.{key}': {getattr(self, key)} must be at least 1")
+        if not 0.0 < self.theta_exceedances < self.theta_n:
+            raise ConfigError("key 'run.theta_exceedances': must lie in (0, run.theta_n)")
+        if self.n_pts < MIN_SERIES_POINTS:
+            raise ConfigError(f"key 'run.n_pts': {self.n_pts} below the floor {MIN_SERIES_POINTS}")
         if any(t < 0.0 or t > 1.0 for t in self.t_grid) or 1.0 not in self.t_grid:
             raise ConfigError("key 'run.t_grid': times must lie in [0,1] and include 1")
         if not 0.0 < self.kappa < 1.0:

@@ -11,14 +11,15 @@ Every check consumes an :class:`~m1lab.config.ExperimentConfig`; verdict
 thresholds come exclusively from the config's tolerances.  Replicate r of
 a check draws at derive_seed(stream_seed(config.seed, tag), r), where the
 tag names the check (and sample size), so results do not depend on
-scheduling or worker count.
+scheduling or worker count.  fidi and selfnorm read one pass of replicates
+(tags selfnorm-n{n}) and limit draws (levy-selfnorm), see _marginal_pass.
 """
 
 import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,6 @@ from .sumproc import (
     centering_constants,
     collapse_clusters,
     grid_index,
-    self_normalized_at,
 )
 from .stable import levy_marginal_draws, simulate_levy_pair, triple_from_cluster
 from .tailstats import BlockingScheme
@@ -100,11 +100,6 @@ class ConvergenceReport:
         return all(self.verdicts.values())
 
 
-def _require_replicates(config):
-    if config.replicates < 200:
-        raise LabError("need at least 200 replicates for distribution comparisons")
-
-
 def _analytic_setup(config):
     spec = config.model
     if not isinstance(spec, (IidSpec, LinearSpec)):
@@ -120,42 +115,35 @@ def _analytic_setup(config):
     return spec, alpha, theta, cluster, triple
 
 
-def _replicate_values(spec, n, t_grid, replicates, base_seed, statistic):
-    """Stack ``statistic(x, idx)`` over replicate samples x drawn at
-    derive_seed(base_seed, rep), with idx = floor(n t) on the grid."""
-    idx = grid_index(n, t_grid)
-    return np.array(
-        [
-            statistic(sample_model(spec, n, derive_seed(base_seed, rep)).values, idx)
-            for rep in range(replicates)
-        ]
-    )
-
-
 def _partial_sum_marginals(spec, n, t_grid, replicates, base_seed, centered):
-    """Replicate values of the normalized (sums, squared sums) at grid times."""
+    """Replicate values at grid times k = floor(n t) of S_k, Q_k (sums of
+    x/a_n and its square, less k b1n and k b2n when ``centered``) and
+    S_k / sqrt(uncentered Q_n), with a_n; replicate r draws at
+    derive_seed(base_seed, r)."""
     a_n = an_theoretical(spec, n)
-    const = centering_constants(spec, a_n, n) if centered else None
+    idx = grid_index(n, t_grid)
+    s1 = np.empty((replicates, idx.size))
+    s2 = np.empty((replicates, idx.size))
+    v2 = np.empty(replicates)
+    for rep in range(replicates):
+        y = sample_model(spec, n, derive_seed(base_seed, rep)).values / a_n
+        s1[rep] = np.concatenate([[0.0], np.cumsum(y)])[idx]
+        c2 = np.concatenate([[0.0], np.cumsum(np.square(y, out=y))])
+        s2[rep] = c2[idx]
+        v2[rep] = c2[-1]
+    if centered:
+        const = centering_constants(spec, a_n, n)
+        s1 -= idx * const.b1n
+        s2 -= idx * const.b2n
+    return s1, s2, s1 / np.sqrt(v2)[:, None], a_n
 
-    def sums(x, idx):
-        y = x / a_n
-        s1 = np.concatenate([[0.0], np.cumsum(y)])[idx]
-        s2 = np.concatenate([[0.0], np.cumsum(np.square(y, out=y))])[idx]
-        if const is not None:
-            s1 = s1 - idx * const.b1n
-            s2 = s2 - idx * const.b2n
-        return s1, s2
 
-    vals = _replicate_values(spec, n, t_grid, replicates, base_seed, sums)
-    return vals[:, 0], vals[:, 1], a_n
-
-
-def run_fidi_convergence(config):
-    """Two-sample KS between replicate marginals of the sum pair and
-    simulated limit draws, per sample size and grid time."""
-    _require_replicates(config)
-    spec, alpha, theta, cluster, triple = _analytic_setup(config)
-    centered = alpha >= 1.0
+def _marginal_pass(config):
+    """(alpha, limit draws, {n: (seed stream, *replicate marginals)}) of
+    fidi and selfnorm, centered for alpha >= 1."""
+    if config.replicates < 200:
+        raise LabError("need at least 200 replicates for distribution comparisons")
+    spec, alpha, _theta, cluster, triple = _analytic_setup(config)
     t_grid = np.asarray(config.t_grid)
     draws = levy_marginal_draws(
         triple,
@@ -163,20 +151,31 @@ def run_fidi_convergence(config):
         t_grid,
         config.limit_draws,
         n_pts=config.n_pts,
-        seed=stream_seed(config.seed, "levy-fidi"),
+        seed=stream_seed(config.seed, "levy-selfnorm"),
     )
+    by_n = {}
+    for n in config.n_grid:
+        base = stream_seed(config.seed, f"selfnorm-n{n}")
+        by_n[n] = (base,) + _partial_sum_marginals(
+            spec, n, t_grid, config.replicates, base, alpha >= 1.0
+        )
+    return alpha, draws, by_n
+
+
+def run_fidi_convergence(config, shared=None):
+    """Two-sample KS between replicate marginals of the sum pair and
+    simulated limit draws, per sample size and grid time.  ``shared``, when
+    given, returns the suite's :func:`_marginal_pass`."""
+    alpha, draws, by_n = shared() if shared else _marginal_pass(config)
+    t_grid = np.asarray(config.t_grid)
     lim1 = draws["l1"]
     lim2 = draws["l2"]
-    if centered:
+    if alpha >= 1.0:
         # the replicate second coordinate is centered; shift the pure sums
         lim2 = lim2 - t_grid[None, :] * (alpha / (2.0 - alpha))
     res = CheckResult(check="fidi", thresholds={"ks_fidi": config.tolerances["ks_fidi"]})
     ks_by_n = {}
-    for n in config.n_grid:
-        seed_base = stream_seed(config.seed, f"fidi-n{n}")
-        rep1, rep2, a_n = _partial_sum_marginals(
-            spec, n, t_grid, config.replicates, seed_base, centered
-        )
+    for n, (seed_base, rep1, rep2, _ratios, a_n) in by_n.items():
         for j, t in enumerate(t_grid):
             ks1 = float(ks_2samp(rep1[:, j], lim1[:, j]).statistic)
             ks2 = float(ks_2samp(rep2[:, j], lim2[:, j]).statistic)
@@ -208,39 +207,19 @@ def run_fidi_convergence(config):
     return res
 
 
-def run_selfnorm_convergence(config):
+def run_selfnorm_convergence(config, shared=None):
     """KS between replicate self-normalized values S_{nt}/V_n and simulated
-    ratio draws L1(t)/sqrt(L2(1)) sharing one Poisson series per draw."""
-    _require_replicates(config)
-    spec, alpha, theta, cluster, triple = _analytic_setup(config)
-    t_grid = np.asarray(config.t_grid)
-    draws = levy_marginal_draws(
-        triple,
-        cluster,
-        t_grid,
-        config.limit_draws,
-        n_pts=config.n_pts,
-        seed=stream_seed(config.seed, "levy-selfnorm"),
-    )
+    ratio draws L1(t)/sqrt(L2(1)) sharing one Poisson series per draw;
+    ``shared`` as in :func:`run_fidi_convergence`."""
+    _alpha, draws, by_n = shared() if shared else _marginal_pass(config)
     lim = draws["l1"] / np.sqrt(draws["l2_total"])[:, None]
+    spec = config.model
     clustered = isinstance(spec, LinearSpec) and len(spec.coeffs) > 1
     tol_key = "ks_selfnorm_clustered" if clustered else "ks_selfnorm"
     res = CheckResult(check="selfnorm", thresholds={tol_key: config.tolerances[tol_key]})
     ks_by_n = {}
-    for n in config.n_grid:
-        a_n = an_theoretical(spec, n)
-        const = centering_constants(spec, a_n, n) if alpha >= 1.0 else None
-        base = stream_seed(config.seed, f"selfnorm-n{n}")
-
-        def ratios(x, idx):
-            if const is None:
-                return self_normalized_at(x, t_grid)
-            # centered numerator over the uncentered normalizer
-            s = np.concatenate([[0.0], np.cumsum(x)])
-            return (s[idx] - idx * a_n * const.b1n) / np.sqrt(np.sum(x * x))
-
-        vals = _replicate_values(spec, n, t_grid, config.replicates, base, ratios)
-        for j, t in enumerate(t_grid):
+    for n, (base, _s1, _s2, vals, _a_n) in by_n.items():
+        for j, t in enumerate(config.t_grid):
             ks = float(ks_2samp(vals[:, j], lim[:, j]).statistic)
             ks_by_n.setdefault(n, []).append(ks)
             res.rows.append(
@@ -264,7 +243,8 @@ def run_j1_vs_m1_contrast(config):
     """Distances between the normalized sum path and its block-collapsed
     version under both jump topologies, per replicate and sample size."""
     spec = config.model
-    alpha = model_alpha(spec)
+    if not isinstance(spec, (IidSpec, LinearSpec)):
+        raise LabError("the contrast check needs theoretical norming (iid or linear model)")
     res = CheckResult(
         check="contrast", thresholds={"m1_j1_frac": config.tolerances["m1_j1_frac"]}
     )
@@ -578,7 +558,9 @@ def run_full_suite(config, outdir=None):
     the other checks; each alpha draws its own stream and the check reads
     the results in grid order, so the rows are those of the check run
     alone.  ``runtime["karamata"]`` is then the check's wait for them and
-    ``runtime["karamata_background"]`` the thread's compute time.
+    ``runtime["karamata_background"]`` the thread's compute time.  fidi and
+    selfnorm share one :func:`_marginal_pass`, computed inside fidi; an
+    error in it marks both not completed.
     """
     report = ConvergenceReport(
         header=REPORT_HEADER, config_digest=config.digest(), seed=config.seed
@@ -592,11 +574,22 @@ def run_full_suite(config, outdir=None):
         finally:
             background.append(time.perf_counter() - t0)
 
+    marginal = Future()
+
+    def marginal_pass():
+        # the first check to ask computes the pass; both get its value or error
+        if not marginal.done():
+            try:
+                marginal.set_result(_marginal_pass(config))
+            except Exception as exc:
+                marginal.set_exception(exc)
+        return marginal.result()
+
     with ThreadPoolExecutor(max_workers=1) as pool:
         karamata = [pool.submit(karamata_sums, alpha) for alpha in config.karamata_alphas]
         checks = [
-            ("fidi", run_fidi_convergence),
-            ("selfnorm", run_selfnorm_convergence),
+            ("fidi", lambda cfg: run_fidi_convergence(cfg, shared=marginal_pass)),
+            ("selfnorm", lambda cfg: run_selfnorm_convergence(cfg, shared=marginal_pass)),
             ("contrast", run_j1_vs_m1_contrast),
             ("karamata", lambda cfg: run_karamata_check(cfg, sums=karamata)),
             ("slutsky", run_slutsky_bound_check),
@@ -670,7 +663,7 @@ def _write_sample_paths(config, paths_dir):
 
     spec = config.model
     try:
-        alpha = model_alpha(spec)
+        model_alpha(spec)
     except Exception as exc:
         return f"no sample paths: {type(exc).__name__}: {exc}"
     n = min(config.n_grid)
@@ -686,9 +679,7 @@ def _write_sample_paths(config, paths_dir):
     except Exception as exc:
         return f"partial_sums.csv not written: {type(exc).__name__}: {exc}"
     if isinstance(spec, (IidSpec, LinearSpec)):
-        theta = model_extremal_index(spec)
-        cluster = model_cluster_law(spec)
-        triple = triple_from_cluster(alpha, theta, cluster, p=model_positive_weight(spec))
+        _spec, _alpha, _theta, cluster, triple = _analytic_setup(config)
         pair, _meta = simulate_levy_pair(
             triple, cluster, n_pts=config.n_pts, seed=stream_seed(config.seed, "limitpath")
         )

@@ -20,6 +20,14 @@ from .paths import STEP, CadlagPath
 from .sumproc import JointPathPair
 
 
+# the fewest Poisson points a series may keep; the config checks run.n_pts
+# against it too
+MIN_SERIES_POINTS = 1000
+
+# extra breakpoints of a one-path draw on which the drift is sampled
+DRIFT_GRID = 256
+
+
 class StableError(ValueError):
     pass
 
@@ -169,7 +177,7 @@ def triple_from_cluster(alpha, theta, cluster, p=None, q=None):
     )
 
 
-def levy_exponent(z, triple, quad_tol=1e-6):
+def levy_exponent(z, triple):
     """log E[exp(i z V(1))] by quadrature of the jump-measure integral.
 
     V has characteristic triple (0, nu1, gamma1): the exponent is
@@ -193,7 +201,7 @@ def levy_exponent(z, triple, quad_tol=1e-6):
             val, err = integrate.quad(
                 f, lo, hi, limit=800, epsabs=1e-11, epsrel=1e-11, **kw
             )
-        if err > quad_tol * (1.0 + abs(val)):
+        if err > 1e-6 * (1.0 + abs(val)):
             raise QuadratureError(
                 f"quadrature residual {err:.2e} exceeds tolerance at z={z}"
             )
@@ -290,8 +298,7 @@ class _Series(NamedTuple):
 
     ``times``, ``jump1`` and ``jump2`` have shape batch + (n_pts,); ``u``
     (the truncation level), ``drift1`` and ``drift2`` (the drift rates
-    subtracted per unit time) have shape ``batch``.  ``remainder_var`` is
-    the variance of the truncated remainder at t = 1 (0 for alpha < 1).
+    subtracted per unit time) have shape ``batch``.
     """
 
     times: np.ndarray
@@ -300,7 +307,6 @@ class _Series(NamedTuple):
     u: np.ndarray
     drift1: np.ndarray
     drift2: np.ndarray
-    remainder_var: np.ndarray
 
 
 def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_correction):
@@ -312,8 +318,8 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
     reads them; ``marks`` is always a fresh array, never a view of the
     cluster's shape.
     """
-    if n_pts < 10**3:
-        raise StableError("n_pts >= 1e3 required")
+    if n_pts < MIN_SERIES_POINTS:
+        raise StableError(f"n_pts >= {MIN_SERIES_POINTS} required")
     a = triple.alpha
     theta = triple.theta
     rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
@@ -344,7 +350,6 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
         jump1 = pts * (marks * keep).sum(axis=-1)
         drift1 = _mark_drift_rate(triple, u)
     else:
-        var = 0.0
         jump1 = pts * marks.sum(axis=-1)
         if small_tail_correction:
             drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
@@ -356,7 +361,7 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
         drift2 = np.zeros(batch)
     jump2 = np.square(marks, out=marks).sum(axis=-1)
     np.multiply(np.square(pts, out=pts), jump2, out=jump2)
-    return _Series(times, jump1, jump2, u, drift1, drift2, var)
+    return _Series(times, jump1, jump2, u, drift1, drift2)
 
 
 def _mark_drift_rate(triple, u):
@@ -392,7 +397,7 @@ def levy_marginal_draws(
     contribution is added back as a deterministic drift unless
     ``small_tail_correction`` is disabled.
     """
-    times, jump1, jump2, _u, drift1, drift2, _var = _levy_series(
+    times, jump1, jump2, _u, drift1, drift2 = _levy_series(
         triple, cluster, (n_draws,), n_pts, seed, tail_sd_tol, small_tail_correction
     )
     t_grid = np.asarray(t_grid, dtype=float)
@@ -426,7 +431,6 @@ def simulate_levy_pair(
     cluster,
     n_pts=2000,
     seed=0,
-    drift_grid=256,
     tail_sd_tol=0.75,
     small_tail_correction=True,
 ):
@@ -434,17 +438,15 @@ def simulate_levy_pair(
 
     Jump times are shared between coordinates (the same Poisson points).
     Continuous drift parts (compensators and small-tail corrections) are
-    sampled on ``drift_grid`` extra breakpoints.  The second coordinate is
-    emitted uncentered (nondecreasing); for alpha >= 1 the centered version
-    subtracts t * meta['b2_shift'].
+    sampled on ``DRIFT_GRID`` extra breakpoints.  The second coordinate is
+    emitted uncentered (nondecreasing).  ``meta`` holds the totals at t = 1.
     """
     s = _levy_series(triple, cluster, (1,), n_pts, seed, tail_sd_tol, small_tail_correction)
-    a = triple.alpha
     times = s.times[0]
     u = float(s.u[0])
     drift1 = float(s.drift1[0])
     drift2 = float(s.drift2[0])
-    grid = np.linspace(0.0, 1.0, drift_grid + 1)
+    grid = np.linspace(0.0, 1.0, DRIFT_GRID + 1)
     all_times = np.union1d(times, grid)
     order = np.argsort(times)
     ts = times[order]
@@ -457,13 +459,7 @@ def simulate_levy_pair(
         all_times = np.concatenate([[0.0], all_times])
         v1 = np.concatenate([[0.0], v1])
         v2 = np.concatenate([[0.0], v2])
-    meta = {
-        "u_trunc": u,
-        "b2_shift": a / (2.0 - a) if a >= 1.0 else 0.0,
-        "l1_total": float(cs1[-1] - drift1),
-        "l2_total": float(cs2[-1] - drift2),
-        "remainder_var": float(np.atleast_1d(s.remainder_var)[0]),
-    }
+    meta = {"l1_total": float(cs1[-1] - drift1), "l2_total": float(cs2[-1] - drift2)}
     return JointPathPair(
         l1=CadlagPath(all_times, v1, STEP),
         l2=CadlagPath(all_times, v2, STEP),

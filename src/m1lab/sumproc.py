@@ -116,8 +116,9 @@ def grid_index(n, t_grid):
     return np.minimum(np.floor(n * np.asarray(t_grid, dtype=float)).astype(int), n)
 
 
-def _self_normalized(data, t_grid):
-    """S_{floor(nt)} / V_n on ``t_grid``, or at every t = k/n when it is None."""
+def self_normalized_at(data, t_grid):
+    """Values S_{floor(nt)} / V_n on ``t_grid``, or at every t = k/n when it
+    is None (no path object)."""
     x = np.asarray(data, dtype=float)
     v2 = float(np.sum(x * x))
     if v2 == 0.0:
@@ -131,17 +132,12 @@ def _self_normalized(data, t_grid):
 def self_normalized_path(data, t_grid=None):
     """Step path t -> S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2)."""
     if t_grid is None:
-        s = _self_normalized(data, None)
+        s = self_normalized_at(data, None)
         return CadlagPath(np.arange(s.size) / (s.size - 1), s, STEP)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
         t_grid = np.concatenate([[0.0], t_grid])
-    return CadlagPath(t_grid, _self_normalized(data, t_grid), STEP)
-
-
-def self_normalized_at(data, t_grid):
-    """Values S_{floor(nt)} / V_n on a time grid (no path object)."""
-    return _self_normalized(data, t_grid)
+    return CadlagPath(t_grid, self_normalized_at(data, t_grid), STEP)
 
 
 def collapse_clusters(path, scheme):

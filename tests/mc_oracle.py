@@ -96,7 +96,6 @@ def levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_cor
         jump1 = pts * (marks * keep).sum(axis=-1)
         drift1 = _mark_drift_rate(triple, np.atleast_1d(u)).reshape(np.shape(u))
     else:
-        var = 0.0
         jump1 = pts * marks.sum(axis=-1)
         if small_tail_correction:
             drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
@@ -107,4 +106,4 @@ def levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_cor
         drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
     else:
         drift2 = np.zeros(np.shape(u))
-    return _Series(times, jump1, jump2, u, drift1, drift2, var)
+    return _Series(times, jump1, jump2, u, drift1, drift2)

@@ -219,32 +219,63 @@ class TestEstimateExitCodes:
 
 
 class TestConvergeExitCodes:
-    # (overrides of ``converge --check CHECK``, exit code); the run values
-    # are checked when the config is parsed, before any check runs
+    KEY = "config error: key 'run."
+    # (check, overrides of ``converge --check CHECK``, exit code, start of
+    # stderr); the run values are checked when the config is parsed, before
+    # any check runs
     EXIT_CASES = {
-        "karamata_alpha_one": ("karamata", ["run.karamata_alphas=1.0"], 2),
-        "karamata_alpha_zero": ("karamata", ["run.karamata_alphas=0.5, 0.0"], 2),
-        "karamata_u_zero": ("karamata", ["run.karamata_u_grid=0.0, 0.1"], 2),
-        "karamata_u_negative": ("karamata", ["run.karamata_u_grid=-0.1"], 2),
-        "kappa_above_one": ("theta", ["run.kappa=1.5"], 2),
-        "kappa_zero": ("theta", ["run.kappa=0"], 2),
+        "karamata_alpha_one": ("karamata", ["run.karamata_alphas=1.0"], 2,
+                               KEY + "karamata_alphas'"),
+        "karamata_alpha_zero": ("karamata", ["run.karamata_alphas=0.5, 0.0"], 2,
+                                KEY + "karamata_alphas'"),
+        "karamata_u_zero": ("karamata", ["run.karamata_u_grid=0.0, 0.1"], 2,
+                            KEY + "karamata_u_grid'"),
+        "karamata_u_negative": ("karamata", ["run.karamata_u_grid=-0.1"], 2,
+                                KEY + "karamata_u_grid'"),
+        "kappa_above_one": ("theta", ["run.kappa=1.5"], 2, KEY + "kappa'"),
+        "kappa_zero": ("theta", ["run.kappa=0"], 2, KEY + "kappa'"),
         "karamata_valid": (
             "karamata", ["run.karamata_u_grid=0.5", "run.karamata_mc=100000",
-                         "run.karamata_n=1000"], 0,
+                         "run.karamata_n=1000"], 0, "",
+        ),
+        "n_grid_zero": ("fidi", ["run.n_grid=0,100"], 2, KEY + "n_grid'"),
+        "contrast_n_grid_zero": ("contrast", ["run.contrast_n_grid=0"], 2,
+                                 KEY + "contrast_n_grid'"),
+        "limit_draws_zero": ("fidi", ["run.limit_draws=0"], 2, KEY + "limit_draws'"),
+        "theta_replicates_zero": ("theta", ["run.theta_replicates=0"], 2,
+                                  KEY + "theta_replicates'"),
+        "contrast_replicates_zero": ("contrast", ["run.contrast_replicates=0"], 2,
+                                     KEY + "contrast_replicates'"),
+        "karamata_n_zero": ("karamata", ["run.karamata_n=0", "run.karamata_mc=1000"], 2,
+                            KEY + "karamata_n'"),
+        "karamata_mc_zero": ("karamata", ["run.karamata_mc=0"], 2, KEY + "karamata_mc'"),
+        "slutsky_n_zero": ("slutsky", ["run.slutsky_n=0"], 2, KEY + "slutsky_n'"),
+        "slutsky_replicates_zero": ("slutsky", ["run.slutsky_replicates=0"], 2,
+                                    KEY + "slutsky_replicates'"),
+        "theta_n_below_exceedances": ("theta", ["run.theta_n=10"], 2,
+                                      KEY + "theta_exceedances'"),
+        "theta_exceedances_zero": ("theta", ["run.theta_exceedances=0"], 2,
+                                   KEY + "theta_exceedances'"),
+        "n_pts_below_floor": ("fidi", ["run.n_pts=10"], 2, KEY + "n_pts'"),
+        # refusals found while a check runs
+        "contrast_garch": ("contrast", ["model.variant=garch"], 2,
+                           "error: the contrast check needs theoretical norming"),
+        "selfnorm_series_too_heavy": (
+            "selfnorm", ["model.alpha=1.9", "run.n_grid=100", "run.replicates=200",
+                         "run.limit_draws=200"], 2, "error: series tail too heavy",
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
     def test_exit_codes(self, case, capsys):
-        check, overrides, code = self.EXIT_CASES[case]
+        check, overrides, code, err_start = self.EXIT_CASES[case]
         args = ["converge", "--check", check, "--seed", "20240503"]
         for ov in overrides:
             args += ["--set", ov]
         assert main(args) == code
         captured = capsys.readouterr()
+        assert captured.err.startswith(err_start)
         if code == 2:
-            key = overrides[-1].split("=")[0]
-            assert captured.err.startswith(f"config error: key '{key}'")
             assert captured.out == ""
         else:
             assert captured.err == ""

@@ -420,3 +420,67 @@ class TestKaramataOverlap:
         assert all(main for _, main in traced), [name for name, main in traced if not main]
         # the sums themselves ran on the worker
         assert [main for name, main in calls if name == "lab._karamata_sums"] == [False, False]
+
+
+class TestMarginalPass:
+    """fidi and selfnorm read one replicate pass and one set of limit draws."""
+
+    CHECKS = TestKaramataOverlap.CHECKS
+
+    def test_one_pass_in_suite(self, monkeypatch):
+        cfg = overlap_config()
+        inside = []
+        counts = {"levy_marginal_draws": 0, "sample_model": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += bool(inside)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def check(fn):
+            def wrapper(*args, **kwargs):
+                inside.append(fn)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(lab, name, counted(name, getattr(lab, name)))
+        for name in ("run_fidi_convergence", "run_selfnorm_convergence"):
+            monkeypatch.setattr(lab, name, check(getattr(lab, name)))
+        lab.run_full_suite(cfg)
+        assert counts == {
+            "levy_marginal_draws": 1,
+            "sample_model": len(cfg.n_grid) * cfg.replicates,
+        }
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    def test_rows_equal_checks_alone(self, alpha):
+        cfg = overlap_config(model=IidSpec(RegVarSpec(alpha, p=0.5)))
+        report = lab.run_full_suite(cfg)
+        for fn in (lab.run_fidi_convergence, lab.run_selfnorm_convergence):
+            alone = fn(cfg)
+            suite = next(r for r in report.results if r.check == alone.check)
+            assert suite.rows == alone.rows
+            assert suite.verdicts == alone.verdicts
+
+    def test_error_in_pass_recorded(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("forced in the pass")
+
+        monkeypatch.setattr(lab, "_partial_sum_marginals", fail)
+        report = lab.run_full_suite(overlap_config())
+        assert [r.check for r in report.results] == self.CHECKS
+        for res in report.results:
+            if res.check in ("fidi", "selfnorm"):
+                assert res.verdicts == {"completed": False}
+                assert res.rows == []
+                assert res.notes == ["error: RuntimeError: forced in the pass"]
+            else:
+                assert "completed" not in res.verdicts, res.check
+                assert res.rows, res.check

@@ -77,7 +77,7 @@ class TestBuildLn:
     def test_centered_symmetric_mean_near_zero(self):
         # the lab's centered partial sums, at the final grid time
         spec = IidSpec(RegVarSpec(1.5, p=0.5))
-        rep1, _rep2, _a_n = _partial_sum_marginals(spec, 500, [1.0], 1000, 17, centered=True)
+        rep1 = _partial_sum_marginals(spec, 500, [1.0], 1000, 17, centered=True)[0]
         finals = rep1[:, -1]
         se = finals.std(ddof=1) / math.sqrt(finals.size)
         assert abs(finals.mean()) <= 4.0 * se
