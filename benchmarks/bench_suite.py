@@ -12,10 +12,16 @@ Configs:
 - ``default`` (only with ``--full``, about a minute per run): the default
   config.
 
+A ``startup`` row comes first: a fresh interpreter imports ``m1lab.cli``
+and parses the default config, and prints the wall time of that and its
+peak resident memory (``ru_maxrss``).  It imports the same m1lab as this
+script.
+
 Each config runs ``REPEAT`` times, writing its bundle to a temporary
 directory as ``m1lab suite`` does.  A check's time is the best of its
 ``REPEAT`` runtimes as the suite reports them, and ``total_s`` is the best
-wall time of the whole call, bundle writing included.  With ``--record``
+wall time of the whole call, bundle writing included; the startup row keeps
+the best of ``REPEAT`` fresh interpreters.  With ``--record``
 one point per config is appended to BENCH_suite.json at the repository
 root, with the same environment fields as BENCH_kernels.json.  Compare
 points only when machine and route match.
@@ -23,6 +29,7 @@ points only when machine and route match.
 
 import argparse
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -42,6 +49,30 @@ CONFIGS = [
     ("suite-desk-centered", "", DESK + ["model.alpha=1.5"]),
 ]
 FULL = [("default", "", [])]
+STARTUP = """
+import resource
+import time
+
+t0 = time.perf_counter()
+import m1lab.cli
+from m1lab import config
+
+config.parse_config("")
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def bench_startup():
+    """Best-of-REPEAT seconds and peak RSS (MB) of a fresh interpreter that
+    imports m1lab.cli and parses the default config."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = []
+    for _ in range(REPEAT):
+        out = subprocess.run([sys.executable, "-c", STARTUP], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        runs.append([float(v) for v in out.split()])
+    return min(sec for sec, _ in runs), min(mb for _, mb in runs)
 
 
 def bench(text, overrides):
@@ -65,12 +96,15 @@ def main():
     parser.add_argument("--record", action="store_true",
                         help="append the points to BENCH_suite.json")
     args = parser.parse_args()
+    startup_s, startup_mb = bench_startup()
     rows = [(label, *bench(text, sets))
             for label, text, sets in CONFIGS + (FULL if args.full else [])]
 
     route = "python"
     widths = {n: max(12, len(n) + 2) for n in rows[0][1]}
     print(f"route {route}; best of {REPEAT} runs, seconds")
+    print(f"startup: import m1lab.cli + default parse_config {startup_s:.3f} s, "
+          f"peak RSS {startup_mb:.1f} MB")
     print(f"{'config':<22}" + "".join(f"{n:>{w}}" for n, w in widths.items()) + f"{'total':>10}")
     for label, checks, total in rows:
         print(f"{label:<22}" + "".join(f"{checks[n]:>{w}.3f}" for n, w in widths.items())
@@ -79,6 +113,9 @@ def main():
         return
     env = environment(route)
     append_points(RECORD, [
+        {"config": "startup", "total_s": round(startup_s, 4),
+         "peak_rss_mb": round(startup_mb, 1), "repeat": REPEAT, **env},
+    ] + [
         {"config": label, "checks": {n: round(s, 4) for n, s in checks.items()},
          "total_s": round(total, 4), "repeat": REPEAT, **env}
         for label, checks, total in rows

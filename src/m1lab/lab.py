@@ -23,7 +23,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import tailstats
 from .models import (
@@ -64,6 +63,28 @@ def stream_seed(base, tag):
     """Independent deterministic seed stream for a named purpose."""
     h = hashlib.blake2s(tag.encode(), digest_size=8).digest()
     return (int(base) ^ int.from_bytes(h, "little")) & 0xFFFFFFFFFFFFFFFF
+
+
+def ks_2samp(a, b):
+    """Two-sample KS statistic sup |F_a - F_b| of the empirical CDFs.
+
+    It is the value of ``scipy.stats.ks_2samp(a, b).statistic``, bit for
+    bit: the CDFs are evaluated at every sample point as scipy does, and
+    when both sizes are at most 10000 (scipy's exact mode) the statistic is
+    rounded to the nearest multiple of 1/lcm(n_a, n_b), as scipy rounds it.
+    """
+    a = np.sort(a)
+    b = np.sort(b)
+    n1 = a.size
+    n2 = b.size
+    both = np.concatenate([a, b])
+    diff = np.searchsorted(a, both, side="right") / n1
+    diff -= np.searchsorted(b, both, side="right") / n2
+    d = max(float(np.clip(-diff.min(), 0, 1)), float(diff.max()))
+    if max(n1, n2) <= 10000:
+        lcm = (n1 // int(np.gcd(n1, n2))) * n2
+        d = int(np.round(d * lcm)) * 1.0 / lcm
+    return d
 
 
 @dataclass
@@ -177,8 +198,8 @@ def run_fidi_convergence(config, shared=None):
     ks_by_n = {}
     for n, (seed_base, rep1, rep2, _ratios, a_n) in by_n.items():
         for j, t in enumerate(t_grid):
-            ks1 = float(ks_2samp(rep1[:, j], lim1[:, j]).statistic)
-            ks2 = float(ks_2samp(rep2[:, j], lim2[:, j]).statistic)
+            ks1 = ks_2samp(rep1[:, j], lim1[:, j])
+            ks2 = ks_2samp(rep2[:, j], lim2[:, j])
             ks_by_n.setdefault(n, []).append(max(ks1, ks2))
             res.rows.append(
                 {
@@ -220,7 +241,7 @@ def run_selfnorm_convergence(config, shared=None):
     ks_by_n = {}
     for n, (base, _s1, _s2, vals, _a_n) in by_n.items():
         for j, t in enumerate(config.t_grid):
-            ks = float(ks_2samp(vals[:, j], lim[:, j]).statistic)
+            ks = ks_2samp(vals[:, j], lim[:, j])
             ks_by_n.setdefault(n, []).append(ks)
             res.rows.append(
                 {
@@ -557,7 +578,11 @@ def run_full_suite(config, outdir=None):
     The Karamata sums run on one background thread from the start, beside
     the other checks; each alpha draws its own stream and the check reads
     the results in grid order, so the rows are those of the check run
-    alone.  ``runtime["karamata"]`` is then the check's wait for them and
+    alone.  The check runs after slutsky and theta, just before
+    diagnostics, so the sums are usually done when it reads them; the
+    report still lists results and runtimes in the order fidi, selfnorm,
+    contrast, karamata, slutsky, theta, diagnostics.
+    ``runtime["karamata"]`` is then the check's wait for the sums and
     ``runtime["karamata_background"]`` the thread's compute time.  fidi and
     selfnorm share one :func:`_marginal_pass`, computed inside fidi; an
     error in it marks both not completed.
@@ -587,24 +612,29 @@ def run_full_suite(config, outdir=None):
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         karamata = [pool.submit(karamata_sums, alpha) for alpha in config.karamata_alphas]
-        checks = [
-            ("fidi", lambda cfg: run_fidi_convergence(cfg, shared=marginal_pass)),
-            ("selfnorm", lambda cfg: run_selfnorm_convergence(cfg, shared=marginal_pass)),
-            ("contrast", run_j1_vs_m1_contrast),
-            ("karamata", lambda cfg: run_karamata_check(cfg, sums=karamata)),
-            ("slutsky", run_slutsky_bound_check),
-            ("theta", run_theta_recovery),
-            ("diagnostics", run_tail_diagnostics),
-        ]
-        for name, fn in checks:
+        # in report order
+        checks = {
+            "fidi": lambda cfg: run_fidi_convergence(cfg, shared=marginal_pass),
+            "selfnorm": lambda cfg: run_selfnorm_convergence(cfg, shared=marginal_pass),
+            "contrast": run_j1_vs_m1_contrast,
+            "karamata": lambda cfg: run_karamata_check(cfg, sums=karamata),
+            "slutsky": run_slutsky_bound_check,
+            "theta": run_theta_recovery,
+            "diagnostics": run_tail_diagnostics,
+        }
+        done = {}
+        for name in ("fidi", "selfnorm", "contrast", "slutsky", "theta", "karamata",
+                     "diagnostics"):
             t0 = time.perf_counter()
             try:
-                res = fn(config)
+                res = checks[name](config)
             except Exception as exc:  # record and continue per the suite contract
                 res = CheckResult(check=name, verdicts={"completed": False})
                 res.notes.append(f"error: {type(exc).__name__}: {exc}")
-            report.results.append(res)
-            report.runtime[name] = time.perf_counter() - t0
+            done[name] = (res, time.perf_counter() - t0)
+    for name in checks:
+        report.results.append(done[name][0])
+        report.runtime[name] = done[name][1]
     report.runtime["karamata_background"] = sum(background)
     if outdir is not None:
         write_bundle(report, config, outdir)

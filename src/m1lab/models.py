@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from . import kernels
 from .clusters import ClusterDistribution, singleton_cluster
@@ -205,6 +204,7 @@ def sample_squared_garch(spec, n, seed, burnin=None):
 
 def garch_moment(spec, alpha):
     """E[(a1 Z^2 + b1)^alpha] for standard normal Z, by quadrature."""
+    from scipy import integrate
 
     def integrand(z):
         return (spec.a1 * z * z + spec.b1) ** alpha * math.exp(-0.5 * z * z)
@@ -262,6 +262,8 @@ def solve_garch_alpha(spec, tol=1e-10, alpha_max=10.0):
         a *= 2.0
     if hi is None:
         raise ModelError(f"no sign change of the moment equation on (0, {alpha_max}]")
+    from scipy import optimize
+
     root = optimize.brentq(f, lo, hi, xtol=tol, rtol=1e-16 * 16)
     return float(root)
 

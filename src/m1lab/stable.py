@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .paths import STEP, CadlagPath
 from .sumproc import JointPathPair
@@ -195,6 +194,8 @@ def levy_exponent(z, triple):
 
     def _quad(f, lo, hi, **kw):
         import warnings
+
+        from scipy import integrate
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)

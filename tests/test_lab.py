@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -389,14 +393,31 @@ class TestKaramataOverlap:
                 assert "completed" not in res.verdicts, res.check
                 assert res.rows, res.check
 
+    def test_karamata_read_after_theta(self, monkeypatch):
+        order = []
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                order.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("run_karamata_check", "run_slutsky_bound_check",
+                     "run_theta_recovery", "run_tail_diagnostics"):
+            monkeypatch.setattr(lab, name, logged(name, getattr(lab, name)))
+        report = lab.run_full_suite(overlap_config())
+        assert order == ["run_slutsky_bound_check", "run_theta_recovery",
+                         "run_karamata_check", "run_tail_diagnostics"]
+        assert [r.check for r in report.results] == self.CHECKS
+        assert list(report.runtime) == self.CHECKS + ["karamata_background"]
+
     def test_no_thread_left(self, tmp_path):
         before = set(threading.enumerate())
         lab.run_full_suite(overlap_config(), outdir=str(tmp_path / "bundle"))
         assert set(threading.enumerate()) == before
 
     def test_traced_entry_points_on_main_thread(self, monkeypatch, tmp_path):
-        import sys
-
         calls = []
 
         def wrap(name, fn):
@@ -484,3 +505,66 @@ class TestMarginalPass:
             else:
                 assert "completed" not in res.verdicts, res.check
                 assert res.rows, res.check
+
+
+class TestKsStatistic:
+    """lab.ks_2samp is scipy.stats.ks_2samp's statistic, bit for bit: rounded
+    to a multiple of 1/lcm(n1, n2) up to 10000 points a side, raw above."""
+
+    SIZES = [(2000, 2000), (200, 300), (1, 5), (7, 7), (10000, 10000),
+             (10001, 2000), (12000, 15000)]
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n1,n2", SIZES)
+    def test_equals_scipy(self, n1, n2, ties):
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng([n1, n2, ties])
+        for _ in range(4):
+            if ties:
+                a = rng.integers(0, 15, n1).astype(float)
+                b = rng.integers(0, 15, n2).astype(float)
+            else:
+                a = rng.standard_cauchy(n1)
+                b = 1.1 * rng.standard_cauchy(n2)
+            with warnings.catch_warnings():
+                # scipy's exact p-value may fall back to its asymptotic one
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = float(ks_2samp(a, b).statistic)
+            assert lab.ks_2samp(a, b) == expected
+            assert lab.ks_2samp(b, a) == expected
+
+
+class TestImportHygiene:
+    """Importing m1lab, parsing a config and running an iid suite load bare
+    scipy only, never its stats, integrate or optimize subpackages.  It runs
+    in a fresh interpreter, since the tests themselves import scipy."""
+
+    SCRIPT = """
+import sys
+
+import m1lab.cli
+from m1lab import config, lab
+from m1lab.models import GarchSpec, model_alpha
+
+config.parse_config("")
+cfg, _ = config.parse_config(sys.argv[1])
+lab.run_full_suite(cfg, outdir=sys.argv[2])
+print([m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules])
+print(repr(model_alpha(GarchSpec(1.0, 0.5, 0.3))))
+"""
+
+    def test_no_scipy_subpackages(self, tmp_path):
+        from test_acceptance import SUITE_CFG
+
+        from m1lab.models import model_alpha
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, SUITE_CFG, str(tmp_path / "bundle")],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        ).stdout.splitlines()
+        assert out[0] == "[]"
+        # the GARCH tail index still imports its quadrature and root finder
+        assert float(out[1]) == model_alpha(GarchSpec(1.0, 0.5, 0.3))
