@@ -14,8 +14,8 @@ Configs:
 
 A ``startup`` row comes first: a fresh interpreter imports ``m1lab.cli``
 and parses the default config, and prints the wall time of that and its
-peak resident memory (``ru_maxrss``).  It imports the same m1lab as this
-script.
+peak resident memory (``VmHWM``; Linux only).  It imports the same m1lab
+as this script.
 
 Each config runs ``REPEAT`` times, writing its bundle to a temporary
 directory as ``m1lab suite`` does.  A check's time is the best of its
@@ -49,8 +49,9 @@ CONFIGS = [
     ("suite-desk-centered", "", DESK + ["model.alpha=1.5"]),
 ]
 FULL = [("default", "", [])]
+# ru_maxrss would carry over the launching process's peak across exec, so
+# the child reads the peak of its own address space, VmHWM (Linux)
 STARTUP = """
-import resource
 import time
 
 t0 = time.perf_counter()
@@ -58,7 +59,10 @@ import m1lab.cli
 from m1lab import config
 
 config.parse_config("")
-print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+wall = time.perf_counter() - t0
+with open("/proc/self/status") as f:
+    hwm = next(line.split()[1] for line in f if line.startswith("VmHWM:"))
+print(wall, int(hwm) / 1024)
 """
 
 
