@@ -4,8 +4,8 @@ Run:  python3 benchmarks/bench_suite.py [--full] [--record]
 
 Configs:
 
-- ``determinism``: ``SUITE_CFG`` of ``tests/test_acceptance.py``, the
-  config whose bundle must stay byte-identical across refactors;
+- ``determinism``: ``SUITE_CFG`` of ``tests/suite_cfg.py``, the config
+  whose bundle must stay byte-identical across refactors;
 - ``suite-desk-iid``, ``suite-desk-clustered``, ``suite-desk-centered``:
   the three models of the ``suite-desk`` benchmark workload (default
   config, seed 20240503, contrast cut to n = 100 with 2 replicates);
@@ -38,7 +38,7 @@ from bench_kernels import REPEAT, ROOT, append_points, environment
 from m1lab import config, lab
 
 sys.path.insert(0, os.path.join(ROOT, "tests"))
-from test_acceptance import SUITE_CFG  # noqa: E402
+from suite_cfg import SUITE_CFG  # noqa: E402
 
 RECORD = os.path.join(ROOT, "BENCH_suite.json")
 DESK = ["run.seed=20240503", "run.contrast_n_grid=100", "run.contrast_replicates=2"]

@@ -4,12 +4,12 @@ keeps them byte-identical.
 Run:  PYTHONPATH=src python3 benchmarks/bundle_digests.py [--full]
 
 Configs: those of ``bench_suite.py``, plus its ``SUITE_CFG`` with
-``model.variant=linear`` and with ``model.alpha=1.5``; ``--full`` adds the
-default config (about 40 s).  Each config runs ``lab.run_full_suite`` once
-into a temporary directory, and the script prints one ``config file
-sha256`` line for report.jsonl, manifest.json and each paths/*.csv.  Run it
-at two commits and ``diff`` the outputs; summary.txt holds runtimes and is
-left out.
+``model.variant=linear``, with ``model.alpha=1.5`` and with both; ``--full``
+adds the default config (about 40 s).  Each config runs
+``lab.run_full_suite`` once into a temporary directory, and the script
+prints one ``config file sha256`` line for report.jsonl, manifest.json and
+each paths/*.csv.  Run it at two commits and ``diff`` the outputs;
+summary.txt holds runtimes and is left out.
 """
 
 import argparse
@@ -24,6 +24,8 @@ from m1lab import config, lab
 VARIANTS = [
     ("determinism-linear", SUITE_CFG, ["model.variant=linear"]),
     ("determinism-alpha15", SUITE_CFG, ["model.alpha=1.5"]),
+    # a cluster of width 2 at alpha >= 1: the per-mark truncation of the series
+    ("determinism-linear-alpha15", SUITE_CFG, ["model.variant=linear", "model.alpha=1.5"]),
 ]
 
 

@@ -79,7 +79,7 @@ def _open_out(path):
 
 
 def _positive_int(raw):
-    """argparse type of a sample size: an integer >= 1."""
+    """argparse type of a sample size or resolution: an integer >= 1."""
     n = int(raw)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw}")
@@ -150,7 +150,7 @@ def _cmd_m1dist(args):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        print(f"uniform={format(uniform_distance(x, y), '.17g')}")
+        unif = uniform_distance(x, y)
         if x.kind == "step" and y.kind == "step" and x.dim == 1 and y.dim == 1:
             j1 = j1_distance(x, y, args.resolution)
         elif x.dim == 1 and y.dim == 1:
@@ -161,18 +161,18 @@ def _cmd_m1dist(args):
             )
         else:
             j1 = float("nan")
-        print(f"j1={format(j1, '.17g')}")
         if x.dim == 1 and y.dim == 1:
             m1 = m1_distance(x, y, args.resolution)
             weak_m1 = m1  # the product metric has a single factor when d = 1
         else:
             m1 = float("nan")
             weak_m1 = weak_m1_distance(x, y, args.resolution)
-        print(f"m1={format(m1, '.17g')}")
-        print(f"weak_m1={format(weak_m1, '.17g')}")
     except PathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # nothing is printed until all four values stand
+    for name, value in (("uniform", unif), ("j1", j1), ("m1", m1), ("weak_m1", weak_m1)):
+        print(f"{name}={format(value, '.17g')}")
     return EXIT_OK
 
 
@@ -277,7 +277,7 @@ def build_parser():
     p = sub.add_parser("m1dist", help="distances between two path CSV files")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--resolution", type=int, default=4096)
+    p.add_argument("--resolution", type=_positive_int, default=4096)
     p.set_defaults(func=_cmd_m1dist)
 
     p = sub.add_parser("limits", help="characteristic constants of the limit pair")

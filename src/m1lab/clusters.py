@@ -13,10 +13,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ClusterDistribution:
-    """Sampler for normalized mark sequences (eta_j) with sup_j |eta_j| = 1.
+    """Law of normalized mark sequences (eta_j) with sup_j |eta_j| = 1.
 
-    ``shape`` is the deterministic template; a cluster draw is sign * shape
-    with sign = +1 w.p. p, -1 w.p. q.
+    ``shape`` is the deterministic template; a cluster is sign * shape with
+    sign = +1 w.p. p, -1 w.p. q (``stable._levy_series`` draws the signs).
     """
 
     shape: np.ndarray
@@ -34,11 +34,6 @@ class ClusterDistribution:
     @property
     def q(self):
         return 1.0 - self.p
-
-    def sample(self, rng, size):
-        """Draw ``size`` clusters as a (size, width) array of marks."""
-        signs = 1.0 - 2.0 * (rng.random(size) >= self.p)
-        return signs[:, None] * self.shape[None, :]
 
     def exact_sum_moments(self, alpha):
         """(c_plus, c_minus, r2, mean_sum, mean_sq, signed_alpha).

@@ -296,6 +296,8 @@ def j1_distance(x, y, resolution=4096):
         )
     if x.dim != 1 or y.dim != 1:
         raise DimensionError("j1_distance is defined per coordinate")
+    if resolution < 1:
+        raise PathError(f"resolution {resolution} too small; need >= 1")
     if _paths_identical(x, y):
         return 0.0
     x, y = _canonical_pair(x, y)

@@ -23,6 +23,9 @@ from .sumproc import JointPathPair
 # against it too
 MIN_SERIES_POINTS = 1000
 
+# the largest sd of the truncated remainder at alpha >= 1 a series may leave
+TAIL_SD_TOL = 0.75
+
 # extra breakpoints of a one-path draw on which the drift is sampled
 DRIFT_GRID = 256
 
@@ -310,19 +313,22 @@ class _Series(NamedTuple):
     drift2: np.ndarray
 
 
-def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_correction):
+def _levy_series(triple, cluster, batch, n_pts, seed):
     """The series behind both samplers, for a batch of draws, with the RNG
-    consumed in one order: Poisson points, jump times, then cluster marks.
+    consumed in one order: Poisson points, jump times, then one cluster sign
+    per point.
 
-    The points are built in the buffer of their running sum, and the
-    squares of the points and of the marks overwrite them once nothing else
-    reads them; ``marks`` is always a fresh array, never a view of the
-    cluster's shape.
+    A cluster is sign * eta with the fixed shape eta = ``cluster.shape``, so
+    a point's jumps are pts * sign * sum(eta) and pts^2 * sum(eta^2); at
+    alpha >= 1 only the marks with pts * |eta_j| above the truncation level
+    enter the first.  The points are built in the buffer of their running
+    sum and squared in place once nothing else reads them.
     """
     if n_pts < MIN_SERIES_POINTS:
         raise StableError(f"n_pts >= {MIN_SERIES_POINTS} required")
     a = triple.alpha
     theta = triple.theta
+    eta = cluster.shape
     rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
     # The mean measure of nu(dy) = theta*alpha*y^{-alpha-1} dy on (y, inf)
     # is theta * y^{-alpha}; pushing unit-rate Poisson arrivals Gamma_i
@@ -333,35 +339,28 @@ def _levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_co
     np.divide(pts, theta, out=pts)
     np.power(pts, -1.0 / a, out=pts)
     times = rng.random(shape)
-    marks = cluster.sample(rng, math.prod(shape)).reshape(shape + (-1,))
+    signs = 1.0 - 2.0 * (rng.random(shape) >= cluster.p)
     # the levels are copied out of pts, which is squared in place below
     u = pts[..., -1].copy()
-    if small_tail_correction:
-        _cp, _cm, _r2, mean_sum, mean_sq, _sgn = cluster.exact_sum_moments(a)
+    _cp, _cm, _r2, mean_sum, mean_sq, _sgn = cluster.exact_sum_moments(a)
 
     if a >= 1.0:
         var = theta * a * (triple.c_plus + triple.c_minus) * u ** (2.0 - a) / (2.0 - a)
         sd = np.sqrt(var).max()
-        if sd > tail_sd_tol:
+        if sd > TAIL_SD_TOL:
             raise StableError(
-                f"series tail too heavy (remainder sd {sd:.3f} > {tail_sd_tol}); "
+                f"series tail too heavy (remainder sd {sd:.3f} > {TAIL_SD_TOL}); "
                 "increase n_pts"
             )
-        keep = pts[..., None] * np.abs(marks) > u[..., None, None]
-        jump1 = pts * (marks * keep).sum(axis=-1)
+        keep = pts[..., None] * np.abs(eta) > u[..., None, None]
+        jump1 = pts * (signs * (eta * keep).sum(axis=-1))
         drift1 = _mark_drift_rate(triple, u)
     else:
-        jump1 = pts * marks.sum(axis=-1)
-        if small_tail_correction:
-            drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
-        else:
-            drift1 = np.zeros(batch)
-    if small_tail_correction:
-        drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
-    else:
-        drift2 = np.zeros(batch)
-    jump2 = np.square(marks, out=marks).sum(axis=-1)
-    np.multiply(np.square(pts, out=pts), jump2, out=jump2)
+        jump1 = pts * (signs * eta.sum())
+        drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
+    drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
+    jump2 = np.square(pts, out=pts)
+    jump2 *= mean_sq
     return _Series(times, jump1, jump2, u, drift1, drift2)
 
 
@@ -376,16 +375,7 @@ def _mark_drift_rate(triple, u):
     return diff * a * (uu ** (1.0 - a) - 1.0) / (a - 1.0)
 
 
-def levy_marginal_draws(
-    triple,
-    cluster,
-    t_grid,
-    n_draws,
-    n_pts=2000,
-    seed=0,
-    tail_sd_tol=0.75,
-    small_tail_correction=True,
-):
+def levy_marginal_draws(triple, cluster, t_grid, n_draws, n_pts=2000, seed=0):
     """Joint draws of (L1(t), L2(t)) on a time grid, plus L2(1).
 
     L2 is always the plain sum of squared jumps (its index alpha/2 is below
@@ -394,12 +384,12 @@ def levy_marginal_draws(
     and subtracts the mark-level compensator, matching the centered sums.
     The truncated remainder is mean zero with variance
     t * theta*alpha*(c+ + c-) u^{2-alpha} / (2-alpha); its square root must
-    stay below ``tail_sd_tol``.  For alpha < 1 the dropped points' expected
-    contribution is added back as a deterministic drift unless
-    ``small_tail_correction`` is disabled.
+    stay below ``TAIL_SD_TOL``.  The expected contribution of the points
+    below u is added back as a deterministic drift: to L1 for alpha < 1, to
+    L2 at every alpha.
     """
     times, jump1, jump2, _u, drift1, drift2 = _levy_series(
-        triple, cluster, (n_draws,), n_pts, seed, tail_sd_tol, small_tail_correction
+        triple, cluster, (n_draws,), n_pts, seed
     )
     t_grid = np.asarray(t_grid, dtype=float)
     # one flat gather per coordinate: row r's sorted jumps sit at flat
@@ -427,14 +417,7 @@ def levy_marginal_draws(
     return {"t_grid": t_grid, "l1": l1, "l2": l2, "l2_total": l2_total}
 
 
-def simulate_levy_pair(
-    triple,
-    cluster,
-    n_pts=2000,
-    seed=0,
-    tail_sd_tol=0.75,
-    small_tail_correction=True,
-):
+def simulate_levy_pair(triple, cluster, n_pts=2000, seed=0):
     """One path draw of the limit pair as step paths on [0,1].
 
     Jump times are shared between coordinates (the same Poisson points).
@@ -442,7 +425,7 @@ def simulate_levy_pair(
     sampled on ``DRIFT_GRID`` extra breakpoints.  The second coordinate is
     emitted uncentered (nondecreasing).  ``meta`` holds the totals at t = 1.
     """
-    s = _levy_series(triple, cluster, (1,), n_pts, seed, tail_sd_tol, small_tail_correction)
+    s = _levy_series(triple, cluster, (1,), n_pts, seed)
     times = s.times[0]
     u = float(s.u[0])
     drift1 = float(s.drift1[0])

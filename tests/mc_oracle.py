@@ -5,7 +5,8 @@ only for caps below the chunk's largest magnitude; the Pareto and cluster
 samplers draw signs by arithmetic on the uniform mask; and
 ``stable.levy_marginal_draws`` counts jump times unsorted and gathers the
 sorted jumps with one flat ``np.take``; ``stable._levy_series`` builds its
-points and squares in place.  These are the forms they replaced, copied
+points and squares in place and draws one sign per point in place of a
+marks array.  These are the forms they replaced, copied
 unchanged.  ``tests/test_mc_oracle.py`` asserts that both give the same
 bits.
 """
@@ -68,8 +69,10 @@ def marginal_draws(s, t_grid):
     return {"t_grid": t_grid, "l1": l1, "l2": l2, "l2_total": l2_total}
 
 
-def levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_correction):
-    # Every array of the series a fresh allocation.
+def levy_series(
+    triple, cluster, batch, n_pts, seed, tail_sd_tol=0.75, small_tail_correction=True
+):
+    # Every array of the series a fresh allocation, the marks included.
     if n_pts < 10**3:
         raise StableError("n_pts >= 1e3 required")
     a = triple.alpha
@@ -79,7 +82,7 @@ def levy_series(triple, cluster, batch, n_pts, seed, tail_sd_tol, small_tail_cor
     gam = np.cumsum(rng.exponential(size=shape), axis=-1)
     pts = (gam / theta) ** (-1.0 / a)
     times = rng.random(shape)
-    marks = cluster.sample(rng, math.prod(shape)).reshape(shape + (-1,))
+    marks = cluster_sample(cluster, rng, math.prod(shape)).reshape(shape + (-1,))
     u = pts[..., -1][()]
     if small_tail_correction:
         _cp, _cm, _r2, mean_sum, mean_sq, _sgn = cluster.exact_sum_moments(a)

@@ -51,6 +51,7 @@ from m1lab.stable import (
 )
 from m1lab.sumproc import build_Ln, self_normalized_path
 from conftest import make_step_path
+from suite_cfg import SUITE_CFG
 
 TOL = default_config().tolerances
 
@@ -280,28 +281,6 @@ def test_criterion_10_exact_invariances():
     ok &= bool(np.all(np.diff(pair.l2.values[:, 0]) >= 0.0))
     elapsed = time.perf_counter() - t0
     assert _report(ok and elapsed < 30.0, f"criterion 10 exact invariances ({elapsed:.1f}s)")
-
-
-SUITE_CFG = """
-[model]
-variant = iid
-alpha = 0.8
-p = 0.5
-
-[run]
-seed = 13
-n_grid = 100, 400
-replicates = 200
-limit_draws = 300
-n_pts = 1000
-contrast_n_grid = 100
-contrast_replicates = 5
-karamata_mc = 1000000
-slutsky_replicates = 50
-slutsky_n = 1000
-theta_replicates = 4
-theta_n = 20000
-"""
 
 
 def test_criterion_11_suite_determinism(tmp_path):

@@ -1,9 +1,12 @@
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import m1lab
 from m1lab.cli import main
 from m1lab.config import ConfigError, default_config, parse_config, replace_config
 from m1lab.models import IidSpec, LinearSpec
@@ -121,6 +124,8 @@ class TestM1DistCmd:
         "malformed_row": (STEP_A, "# kind=step d=1\n0,0\n0.5,abc\n", [], 2),
         "non_integer_d": (STEP_A, "# kind=step d=x\n0,0\n0.5,1\n", [], 2),
         "resolution_too_small": (STEP_A, "# kind=step d=1\n0,0\n0.5,1\n", ["--resolution", "4"], 2),
+        "resolution_zero": (STEP_A, "# kind=step d=1\n0,0\n0.5,1\n", ["--resolution", "0"], 2),
+        "resolution_negative": (PL_A, "# kind=pl d=1\n0,0\n0.5,0.8\n1,1\n", ["--resolution", "-4"], 2),
         "mismatched_d": (STEP_A, "# kind=step d=2\n0,0,1\n0.5,1,1\n", [], 2),
     }
 
@@ -133,7 +138,27 @@ class TestM1DistCmd:
         if text_b is not None:
             fb.write_text(text_b)
         assert main(["m1dist", str(fa), str(fb)] + extra) == code
-        assert bool(capsys.readouterr().err) == (code != 0)
+        out, err = capsys.readouterr()
+        assert bool(err) == (code != 0)
+        if code != 0:
+            assert out == ""
+
+    def test_negative_resolution_step_pair_returns(self, tmp_path):
+        # a negative bisection tolerance never ends the J1 search of a step
+        # pair; in a child process the timeout stops such a run
+        fa = tmp_path / "a.csv"
+        fb = tmp_path / "b.csv"
+        fa.write_text(self.STEP_A)
+        fb.write_text("# kind=step d=1\n0,0\n0.5,1\n")
+        # the child imports the same m1lab as this test
+        src = os.path.dirname(os.path.dirname(os.path.abspath(m1lab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "m1lab.cli", "m1dist", str(fa), str(fb), "--resolution", "-4"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (2, "")
+        assert "Traceback" not in run.stderr
 
 
 class TestModelExitCodes:

@@ -555,7 +555,7 @@ print(repr(model_alpha(GarchSpec(1.0, 0.5, 0.3))))
 """
 
     def test_no_scipy_subpackages(self, tmp_path):
-        from test_acceptance import SUITE_CFG
+        from suite_cfg import SUITE_CFG
 
         from m1lab.models import model_alpha
 
@@ -568,3 +568,16 @@ print(repr(model_alpha(GarchSpec(1.0, 0.5, 0.3))))
         assert out[0] == "[]"
         # the GARCH tail index still imports its quadrature and root finder
         assert float(out[1]) == model_alpha(GarchSpec(1.0, 0.5, 0.3))
+
+    def test_bench_scripts_load_no_scipy_stats(self):
+        # the scripts read SUITE_CFG from a module that imports nothing
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(os.path.join(root, d) for d in ("src", "benchmarks"))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, bench_suite, bundle_digests; "
+             "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+             "if m in sys.modules])"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=300, check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -11,7 +11,6 @@ import pytest
 
 import mc_oracle as oracle
 from m1lab import lab, stable
-from m1lab.clusters import ClusterDistribution
 from m1lab.config import default_config, replace_config
 from m1lab.models import IidSpec, LinearSpec, RegVarSpec, _pareto_draws
 
@@ -49,16 +48,6 @@ class TestSignDraws:
         assert got.tobytes() == want.tobytes()
         assert rng_new.random() == rng_old.random()
 
-    @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
-    def test_cluster_sample_shape(self, p):
-        cluster = ClusterDistribution(p=p, shape=np.array([1.0, 0.5, -0.25]))
-        rng_new = np.random.default_rng(12)
-        rng_old = np.random.default_rng(12)
-        got = cluster.sample(rng_new, 5000)
-        want = oracle.cluster_sample(cluster, rng_old, 5000)
-        assert got.tobytes() == want.tobytes()
-        assert rng_new.random() == rng_old.random()
-
 
 class TestLevyMarginalDraws:
     @pytest.mark.parametrize(
@@ -75,7 +64,7 @@ class TestLevyMarginalDraws:
         )
         t_grid = [0.0, 1e-4, 0.25, 0.5, 1.0]
         got = stable.levy_marginal_draws(triple, cluster, t_grid, 300, n_pts=1000, seed=5)
-        series = stable._levy_series(triple, cluster, (300,), 1000, 5, 0.75, True)
+        series = stable._levy_series(triple, cluster, (300,), 1000, 5)
         want = oracle.marginal_draws(series, t_grid)
         assert got.keys() == want.keys()
         for key in want:
@@ -100,8 +89,9 @@ def _series_setup(spec):
 
 
 class TestLevySeries:
-    """``_levy_series`` builds its points and squares in place; the draws and
-    paths of both samplers keep the bits of the former series."""
+    """``_levy_series`` builds its points and squares in place and draws one
+    sign per point; the draws and paths of both samplers keep the bits of the
+    former series, which built a marks array."""
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     @pytest.mark.parametrize("label,case", SERIES_CASES)
@@ -133,8 +123,8 @@ class TestLevySeries:
     def test_series_fields(self, label, case, batch):
         # the truncation level is read before pts is squared in place
         cluster, triple = _series_setup(case)
-        got = stable._levy_series(triple, cluster, batch, 1000, 3, 0.75, True)
-        want = oracle.levy_series(triple, cluster, batch, 1000, 3, 0.75, True)
+        got = stable._levy_series(triple, cluster, batch, 1000, 3)
+        want = oracle.levy_series(triple, cluster, batch, 1000, 3)
         for name, value in want._asdict().items():
             assert np.array_equal(getattr(got, name), value), name
 

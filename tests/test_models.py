@@ -24,6 +24,7 @@ from m1lab.models import (
     sample_squared_garch,
     solve_garch_alpha,
 )
+from m1lab.stable import _levy_series, triple_from_cluster
 from m1lab.tailstats import BlockingScheme, hill_alpha, sign_switch_diagnostic
 
 
@@ -109,21 +110,24 @@ class TestLinear:
 
 
 class TestClusterLaw:
-    def test_iid_singleton(self, rng):
+    def test_iid_singleton(self):
+        # each series jump is +-point, positive w.p. p
         cl = singleton_cluster(p=0.7)
-        draws = cl.sample(rng, 4000)
-        assert draws.shape[1] == 1
-        assert set(np.unique(draws)) <= {-1.0, 1.0}
-        assert np.mean(draws > 0) == pytest.approx(0.7, abs=0.03)
+        assert cl.shape.tolist() == [1.0]
+        s = _levy_series(triple_from_cluster(0.8, 1.0, cl), cl, (4,), 1000, 20240503)
+        assert np.array_equal(np.square(s.jump1), s.jump2)
+        assert np.mean(s.jump1 > 0) == pytest.approx(0.7, abs=0.03)
 
     def test_marks_normalized(self):
         cl = linear_cluster_law(LinearSpec((2.0, 1.0), RegVarSpec(1.0, p=1.0)))
         assert np.abs(cl.shape).max() == 1.0
 
-    def test_single_sign_when_p_one(self, rng):
-        cl = linear_cluster_law(LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0)))
-        draws = cl.sample(rng, 100)
-        assert np.all(draws >= 0.0)
+    def test_single_sign_when_p_one(self):
+        lin = LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0))
+        cl = linear_cluster_law(lin)
+        tr = triple_from_cluster(1.0, linear_extremal_index(lin), cl)
+        s = _levy_series(tr, cl, (1,), 1000, 20240503)
+        assert np.all(s.jump1 >= 0.0)
 
     def test_marginal_consistency_identity(self):
         # theta * E[sum |eta|^alpha] = 1 and the signed version gives p - q

@@ -171,6 +171,12 @@ class TestJ1:
         half = CadlagPath([0.0, 0.5, 0.51], [0.0, 0.5, 1.0])
         assert j1_distance(STEP_05, half) >= 0.5 - 0.01
 
+    def test_resolution_precondition(self):
+        # the bisection stops at tol = uniform / resolution, which must be > 0
+        for x, y in [(STEP_05, STEP_055), (STEP_05, STEP_05)]:
+            with pytest.raises(PathError, match="resolution"):
+                j1_distance(x, y, resolution=0)
+
     def test_pl_rejected(self):
         ramp = CadlagPath([0.0, 0.4, 0.6], [0.0, 0.0, 1.0], PL)
         with pytest.raises(PreconditionError, match="step_refine"):

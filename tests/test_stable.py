@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from m1lab.models import (
 from m1lab.stable import (
     CharTriple,
     StableError,
+    _levy_series,
     charfn_stable,
     cms_sampler,
     gamma1_for,
@@ -193,28 +195,39 @@ class TestSeries:
                 assert np.all(np.diff(pair.l2.values[:, 0]) >= -1e-15)
 
     def test_l1_jumps_subset_of_l2(self):
-        # pure-jump mode so the drift corrections do not mask the jump set
+        # on the series itself, so the drift corrections do not mask the jumps
         lin = LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=1.0))
         cl = linear_cluster_law(lin)
         tr = triple_from_cluster(0.8, linear_extremal_index(lin), cl)
-        pair, _ = simulate_levy_pair(
-            tr, cl, n_pts=1200, seed=9, small_tail_correction=False
-        )
-        j1 = np.flatnonzero(np.abs(np.diff(pair.l1.values[:, 0])) > 1e-12)
-        j2 = np.flatnonzero(np.diff(pair.l2.values[:, 0]) > 1e-12)
-        assert set(j1) <= set(j2)
+        s = _levy_series(tr, cl, (1,), 1200, 9)
+        assert set(np.flatnonzero(s.jump1)) <= set(np.flatnonzero(s.jump2))
 
     def test_npts_floor(self):
         tr = triple_from_cluster(0.8, 1.0, singleton_cluster(1.0))
         with pytest.raises(StableError):
             levy_marginal_draws(tr, singleton_cluster(1.0), [1.0], 10, n_pts=100)
 
+    def test_clustered_draws_hold_no_mark_array(self):
+        # one sign per point: a width-2 cluster peaks where the singleton does
+        lin = LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=0.5))
+        peaks = []
+        for cl, theta in [
+            (singleton_cluster(0.5), 1.0),
+            (linear_cluster_law(lin), linear_extremal_index(lin)),
+        ]:
+            tr = triple_from_cluster(0.8, theta, cl)
+            tracemalloc.start()
+            try:
+                levy_marginal_draws(tr, cl, [0.5, 1.0], 1000, n_pts=1000, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
+
     def test_tail_sd_gate_for_heavy_truncation(self):
         tr = triple_from_cluster(1.9, 1.0, singleton_cluster(1.0))
         with pytest.raises(StableError, match="increase n_pts"):
-            levy_marginal_draws(
-                tr, singleton_cluster(1.0), [1.0], 5, n_pts=1000, tail_sd_tol=0.05
-            )
+            levy_marginal_draws(tr, singleton_cluster(1.0), [1.0], 5, n_pts=1000)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.2, 1.5])
     def test_series_vs_cms(self, alpha):
