@@ -10,6 +10,15 @@ adds the default config (about 40 s).  Each config runs
 prints one ``config file sha256`` line for report.jsonl, manifest.json and
 each paths/*.csv.  Run it at two commits and ``diff`` the outputs;
 summary.txt holds runtimes and is left out.
+
+The suite's bundles reach the metrics only through ``contrast``, on step
+pairs, so the script also prints one ``metrics kind sha256`` line per pair
+kind (step/step, pl/pl, step/pl, monotone, two-coordinate) of a fixed,
+seeded set of pairs.  Values come partly from ``LEVELS``, so repeats and
+signed zeros occur.  A line hashes the 17-digit text of every distance the
+kind admits: ``uniform_distance``, each ``m1_distance_detailed`` field,
+``j1_distance`` (step pairs), ``monotone_m1_distance`` (monotone pairs) and
+``weak_m1_distance`` (two-coordinate pairs), at resolution 512.
 """
 
 import argparse
@@ -18,8 +27,10 @@ import hashlib
 import os
 import tempfile
 
+import numpy as np
+
 from bench_suite import CONFIGS, FULL, SUITE_CFG
-from m1lab import config, lab
+from m1lab import config, lab, paths
 
 VARIANTS = [
     ("determinism-linear", SUITE_CFG, ["model.variant=linear"]),
@@ -44,6 +55,66 @@ def bundle_digests(text, overrides):
     return out
 
 
+LEVELS = [0.0, -0.0, 1.0, -1.5, 2.0]
+METRIC_PAIRS = 40
+RESOLUTION = 512
+
+
+def _draw_path(rng, kind, dim=1, monotone=False):
+    """1-40 breakpoints on a coarse grid or at random; values from LEVELS
+    or a normal."""
+    k = int(rng.integers(0, 40))
+    if rng.random() < 0.5:
+        grid = int(rng.choice([4, 16, 64]))
+        inner = rng.integers(1, grid + 1, k) / grid
+    else:
+        inner = rng.random(k)
+    t = np.unique(np.concatenate([[0.0], inner]))
+    shape = (t.size, dim)
+    if rng.random() < 0.5:
+        v = rng.choice(LEVELS, size=shape)
+    else:
+        v = rng.normal(size=shape)
+    if monotone:
+        v = np.sort(v, axis=0)
+    return paths.CadlagPath(t, v, kind)
+
+
+def _pair_distances(kind, x, y):
+    """Every distance the pair kind admits, in a fixed order."""
+    out = [paths.uniform_distance(x, y)]
+    if kind == "two-coordinate":
+        return out + [paths.weak_m1_distance(x, y, RESOLUTION)]
+    res = paths.m1_distance_detailed(x, y, RESOLUTION)
+    out += [res.value, res.lower, res.upper, res.uniform_bound, res.tol]
+    if x.kind == y.kind == paths.STEP:
+        out.append(paths.j1_distance(x, y, RESOLUTION))
+    if kind == "monotone":
+        out.append(paths.monotone_m1_distance(x, y))
+    return out
+
+
+def metric_digests(seed=20240503):
+    """(pair kind, sha256) over METRIC_PAIRS seeded pairs of each kind."""
+    rng = np.random.default_rng(seed)
+    kinds = [
+        ("step/step", paths.STEP, paths.STEP, {}),
+        ("pl/pl", paths.PL, paths.PL, {}),
+        ("step/pl", paths.STEP, paths.PL, {}),
+        ("monotone", paths.STEP, paths.PL, {"monotone": True}),
+        ("two-coordinate", paths.STEP, paths.STEP, {"dim": 2}),
+    ]
+    out = []
+    for label, kind_x, kind_y, opts in kinds:
+        text = []
+        for _ in range(METRIC_PAIRS):
+            x = _draw_path(rng, kind_x, **opts)
+            y = _draw_path(rng, kind_y, **opts)
+            text.append(" ".join(format(d, ".17g") for d in _pair_distances(label, x, y)))
+        out.append((label, hashlib.sha256("\n".join(text).encode()).hexdigest()))
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--full", action="store_true", help="also run the default config")
@@ -51,6 +122,8 @@ def main():
     for label, text, sets in CONFIGS + VARIANTS + (FULL if args.full else []):
         for name, digest in bundle_digests(text, sets):
             print(f"{label} {name} {digest}", flush=True)
+    for kind, digest in metric_digests():
+        print(f"metrics {kind} {digest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ precedence seed source; --set overrides win over the config file.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -34,10 +35,8 @@ from .paths import (
 )
 from .stable import (
     StableError,
-    params_to_record,
     stable_params,
     triple_from_cluster,
-    triple_to_record,
 )
 
 EXIT_OK = 0
@@ -193,8 +192,8 @@ def _cmd_limits(args):
     except StableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    rec = dict(triple_to_record(triple))
-    rec.update({f"stable_{k}": v for k, v in params_to_record(params).items()})
+    rec = {**dataclasses.asdict(triple), "regime": triple.regime}
+    rec.update({f"stable_{k}": v for k, v in dataclasses.asdict(params).items()})
     print(lab._render_json(rec))
     return EXIT_OK
 

@@ -138,6 +138,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # run on every construction, dataclasses.replace included
+        for key, (parser, _) in SCHEMA["run"].items():
+            if parser in (_as_float_list, _as_int_list) and not getattr(self, key):
+                raise ConfigError(f"key 'run.{key}': the list is empty")
         n_grid = self.n_grid
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ConfigError("key 'run.n_grid': sample sizes must be strictly increasing")
@@ -161,6 +164,10 @@ class ExperimentConfig:
             raise ConfigError("key 'run.karamata_alphas': every alpha must lie in (0,1)")
         if not all(u > 0.0 for u in self.karamata_u_grid):
             raise ConfigError("key 'run.karamata_u_grid': truncation levels must be positive")
+        # the Slutsky bound divides by eps and takes powers of u
+        for key in ("slutsky_u_grid", "slutsky_eps_grid"):
+            if not all(x > 0.0 for x in getattr(self, key)):
+                raise ConfigError(f"key 'run.{key}': every entry must be positive")
 
     def canonical_text(self):
         import dataclasses

@@ -95,11 +95,9 @@ ModelSpec = IidSpec | LinearSpec | GarchSpec | SquaredGarchSpec
 
 @dataclass(frozen=True)
 class SeriesSample:
-    """Generated series plus the (spec, seed) pair that reproduces it."""
+    """A generated series."""
 
     values: np.ndarray
-    seed: int
-    spec: object
 
 
 def _rng(seed):
@@ -123,7 +121,7 @@ def sample_iid(spec, n, seed):
     if n < 1:
         raise ModelError("need n >= 1")
     vals = _pareto_draws(rv, n, _rng(seed))
-    return SeriesSample(vals, seed, IidSpec(rv))
+    return SeriesSample(vals)
 
 
 def sample_linear(spec, n, seed):
@@ -138,7 +136,7 @@ def sample_linear(spec, n, seed):
     z = _pareto_draws(spec.innovation, n + m, _rng(seed))
     phi = np.asarray(spec.coeffs)
     x = np.convolve(z, phi, mode="valid") if m > 0 else phi[0] * z
-    return SeriesSample(x, seed, spec)
+    return SeriesSample(x)
 
 
 def linear_tail_ratio(spec):
@@ -193,13 +191,13 @@ def sample_garch(spec, n, seed, burnin=None):
             "a1 = b1 = 0 degenerates to i.i.d. scaled noise", UserWarning, stacklevel=2
         )
     x, _sig2 = _garch_path(spec, n, seed, burnin)
-    return SeriesSample(x, seed, spec)
+    return SeriesSample(x)
 
 
 def sample_squared_garch(spec, n, seed, burnin=None):
     """Nonnegative vector series (X_k^2, sigma_k^2) of the inner GARCH."""
     x, sig2 = _garch_path(spec.inner, n, seed, burnin)
-    return SeriesSample(np.column_stack([x**2, sig2]), seed, spec)
+    return SeriesSample(np.column_stack([x**2, sig2]))
 
 
 def garch_moment(spec, alpha):

@@ -112,9 +112,7 @@ def left_limit(path, t):
     if path.kind == PL:
         out = np.atleast_2d(eval_path(path, t_arr))
     else:
-        idx = np.searchsorted(path.times, t_arr, side="left") - 1
-        idx = np.maximum(idx, 0)
-        out = path.values[idx]
+        out = path.values[np.searchsorted(path.times, t_arr, side="left") - 1]
     if np.isscalar(t) or np.ndim(t) == 0:
         return out[0]
     return out
@@ -147,41 +145,29 @@ def uniform_distance(x, y):
     return float(best)
 
 
-def completed_graph(path, coord=0):
-    """Vertices (t, v) of the completed graph of one coordinate.
+def _jumps(v):
+    """Indices i >= 1 with v[i] != v[i - 1]: where a step path jumps."""
+    return np.flatnonzero(v[1:] != v[:-1]) + 1
 
-    Jumps of step paths become vertical segments; the polyline always spans
-    t=0 to t=1.
+
+def completed_graph(path):
+    """Vertices (t, v) of the completed graph of a scalar path.
+
+    Jumps of step paths become vertical segments from (t_k, v_{k-1}) to
+    (t_k, v_k); the polyline always spans t=0 to t=1.
     """
     t = path.times
-    v = path.values[:, coord]
-    gt = [t[0]]
-    gv = [v[0]]
+    v = path.values[:, 0]
     if path.kind == PL:
-        for i in range(1, t.size):
-            gt.append(t[i])
-            gv.append(v[i])
+        gt, gv = t.copy(), v.copy()
     else:
-        for i in range(1, t.size):
-            if v[i] != v[i - 1]:
-                gt.append(t[i])
-                gv.append(v[i - 1])
-                gt.append(t[i])
-                gv.append(v[i])
+        k = _jumps(v)
+        gt = np.concatenate([t[:1], np.repeat(t[k], 2)])
+        gv = np.concatenate([v[:1], np.column_stack([v[k - 1], v[k]]).ravel()])
     if gt[-1] < 1.0:
-        gt.append(1.0)
-        gv.append(gv[-1])
-    # drop zero-length segments
-    out_t = [gt[0]]
-    out_v = [gv[0]]
-    for i in range(1, len(gt)):
-        if gt[i] != out_t[-1] or gv[i] != out_v[-1]:
-            out_t.append(gt[i])
-            out_v.append(gv[i])
-    if len(out_t) == 1:
-        out_t.append(1.0)
-        out_v.append(out_v[0])
-    return np.asarray(out_t), np.asarray(out_v)
+        gt = np.append(gt, 1.0)
+        gv = np.append(gv, gv[-1])
+    return gt, gv
 
 
 def _canonical_pair(x, y):
@@ -211,13 +197,20 @@ class M1Result:
     tol: float
 
 
-def _bisect_metric(feasible, lo, hi, tol):
-    """Bisect [lo, hi] down to ``tol``, with hi the uniform distance.
+def _bisect_metric(x, y, resolution, feasible):
+    """Bisect the distance of scalar paths x, y to a bracket of width at
+    most max(uniform, 1e-12) / resolution.
 
-    M1 <= J1 <= uniform, so hi is an upper end by theorem and is not asked
-    of ``feasible``: at exactly that radius the decision can round to False
-    by one ulp.
+    The bracket starts at [lo, hi]: hi is the uniform distance and lo the
+    larger gap of the start and end values, which every alignment must
+    match.  M1 <= J1 <= uniform, so hi is an upper end by theorem and is not
+    asked of ``feasible``: at exactly that radius the decision can round to
+    False by one ulp.
     """
+    hi = uniform_distance(x, y)
+    vx, vy = x.values[:, 0], y.values[:, 0]
+    lo = max(abs(vx[0] - vy[0]), abs(vx[-1] - vy[-1]))
+    tol = max(hi, 1e-12) / float(resolution)
     if hi <= lo + tol:
         return M1Result(hi, lo, hi, hi, tol)
     hi0 = hi
@@ -246,14 +239,11 @@ def m1_distance_detailed(x, y, resolution=4096):
     x, y = _canonical_pair(x, y)
     pt, pv = completed_graph(x)
     qt, qv = completed_graph(y)
-    unif = uniform_distance(x, y)
-    lo = max(abs(pv[0] - qv[0]), abs(pv[-1] - qv[-1]))
-    tol = max(unif, 1e-12) / float(resolution)
 
     def feasible(d):
         return bool(kernels.frechet_feasible(pt, pv, qt, qv, d))
 
-    return _bisect_metric(feasible, lo, unif, tol)
+    return _bisect_metric(x, y, resolution, feasible)
 
 
 def m1_distance(x, y, resolution=4096):
@@ -271,15 +261,12 @@ def weak_m1_distance(x, y, resolution=4096):
 
 
 def _jump_sequence(path):
+    """Jump times of a scalar step path, and its levels: the start value,
+    then the value after each jump."""
     t = path.times
     v = path.values[:, 0]
-    jt = []
-    levels = [v[0]]
-    for i in range(1, t.size):
-        if v[i] != v[i - 1]:
-            jt.append(t[i])
-            levels.append(v[i])
-    return np.asarray(jt), np.asarray(levels)
+    k = _jumps(v)
+    return t[k], np.concatenate([v[:1], v[k]])
 
 
 def j1_distance(x, y, resolution=4096):
@@ -303,14 +290,11 @@ def j1_distance(x, y, resolution=4096):
     x, y = _canonical_pair(x, y)
     tx, levx = _jump_sequence(x)
     sy, levy = _jump_sequence(y)
-    unif = uniform_distance(x, y)
-    lo = max(abs(levx[0] - levy[0]), abs(levx[-1] - levy[-1]))
-    tol = max(unif, 1e-12) / float(resolution)
 
     def feasible(d):
         return bool(kernels.j1_feasible(tx, sy, levx, levy, d))
 
-    return _bisect_metric(feasible, lo, unif, tol).value
+    return _bisect_metric(x, y, resolution, feasible).value
 
 
 def step_refine(path, per_segment=512):
@@ -327,7 +311,7 @@ def step_refine(path, per_segment=512):
         np.linspace(knots[i], knots[i + 1], per_segment + 1)
         for i in range(knots.size - 1)
     ]
-    ts = np.unique(np.concatenate(pieces)) if pieces else np.array([0.0])
+    ts = np.unique(np.concatenate(pieces))
     vals = np.atleast_2d(eval_path(path, ts))
     return CadlagPath(ts, vals, STEP)
 
@@ -356,7 +340,6 @@ def monotone_m1_distance(x, y):
     tau_p = pt + pv
     tau_q = qt + qv
     grid = np.union1d(tau_p, tau_q)
-    grid = np.union1d(grid, [tau_p[0], tau_p[-1], tau_q[0], tau_q[-1]])
     gp = np.clip(grid, tau_p[0], tau_p[-1])
     gq = np.clip(grid, tau_q[0], tau_q[-1])
     xp_t = np.interp(gp, tau_p, pt)

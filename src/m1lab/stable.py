@@ -454,27 +454,3 @@ def simulate_levy_pair(triple, cluster, n_pts=2000, seed=0):
         b2n=drift2,
     ), meta
 
-
-def triple_to_record(triple):
-    return {
-        "alpha": triple.alpha,
-        "theta": triple.theta,
-        "c_plus": triple.c_plus,
-        "c_minus": triple.c_minus,
-        "gamma1": triple.gamma1,
-        "r2": triple.r2,
-        "gamma2": triple.gamma2,
-        "p": triple.p,
-        "q": triple.q,
-        "regime": triple.regime,
-        "gamma1_flagged": triple.gamma1_flagged,
-    }
-
-
-def params_to_record(params):
-    return {
-        "alpha": params.alpha,
-        "c": params.c,
-        "beta": params.beta,
-        "tau": params.tau,
-    }

@@ -95,33 +95,24 @@ def anticluster_diagnostic(data, scheme, u, m_grid):
     x = np.abs(np.asarray(data, dtype=float))
     n = x.size
     r_n = scheme.r_n
-    anchors = np.flatnonzero(x > u)
+    exceed = x > u
+    anchors = np.flatnonzero(exceed)
     if anchors.size == 0:
         raise EstimatorError("no anchor exceedances")
-    exceed = (x > u).astype(np.int64)
     csum = np.concatenate([[0], np.cumsum(exceed)])
-
-    def window_count(i, lo_off, hi_off):
-        lo = max(i + lo_off, 0)
-        hi = min(i + hi_off, n - 1)
-        if hi < lo:
-            return 0
-        return csum[hi + 1] - csum[lo]
+    # exceedances at lags -(r_n - 1)..-m and m..r_n - 1 of every anchor,
+    # clipped to the sample
+    lo = np.maximum(anchors - r_n + 1, 0)
+    hi = np.minimum(anchors + r_n, n)
 
     curve = {}
     for m in m_grid:
         m = int(m)
         if m < 1 or m > r_n:
             raise EstimatorError("m grid must lie in [1, r_n]")
-        if m == r_n:
-            curve[m] = 0.0
-            continue
-        hits = 0
-        for i in anchors:
-            c = window_count(i, -(r_n - 1), -m) + window_count(i, m, r_n - 1)
-            if c > 0:
-                hits += 1
-        curve[m] = hits / anchors.size
+        left = csum[np.maximum(anchors - m + 1, 0)] - csum[lo]
+        right = csum[hi] - csum[np.minimum(anchors + m, n)]
+        curve[m] = int(np.count_nonzero(left + right)) / anchors.size
     return curve
 
 
@@ -173,13 +164,20 @@ class TailDiagnostics:
         return recs
 
 
-def diagnose(sample_values, scheme, quantile_level=0.99, k_frac=0.6):
+# diagnose's threshold, a quantile level of |X|, and its Hill order
+# statistic count n^K_FRAC
+QUANTILE_LEVEL = 0.99
+K_FRAC = 0.6
+
+
+def diagnose(sample_values, scheme):
     """Convenience bundle: Hill, empirical norming, blocks theta, anticluster
-    head, sign-switch count.  Thresholds are quantile levels of |X|."""
+    head, sign-switch count.  The threshold is the QUANTILE_LEVEL quantile
+    of |X|."""
     x = np.asarray(sample_values, dtype=float)
     n = x.size
-    k = max(10, int(np.ceil(n**k_frac)))
-    u = float(np.quantile(np.abs(x), quantile_level))
+    k = max(10, int(np.ceil(n**K_FRAC)))
+    u = float(np.quantile(np.abs(x), QUANTILE_LEVEL))
     alpha_hat = hill_alpha(x, min(k, n - 1))
     theta_hat = extremal_index_blocks(x, scheme, u)
     m_grid = [m for m in (1, 2, 3, 5, 8) if m <= scheme.r_n]

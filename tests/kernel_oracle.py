@@ -3,6 +3,11 @@
 These are the cell-by-cell sweeps the vectorized kernels in
 ``m1lab.kernels`` replaced, copied unchanged.  ``tests/test_kernels.py``
 asserts that both give identical booleans.
+
+``completed_graph`` and ``jump_sequence`` are the per-breakpoint loops that
+built the kernels' inputs before ``m1lab.paths`` took them from one change
+index, copied unchanged but for the dropped ``coord`` argument;
+``tests/test_paths.py`` asserts identical arrays, zero signs and dtypes.
 """
 
 import numpy as np
@@ -169,3 +174,47 @@ def _j1_feasible(tx, sy, levx, levy, d):
         m_cur = m_next
         m_next = tmp
     return m_cur[K] < INF
+
+
+def completed_graph(path):
+    t = path.times
+    v = path.values[:, 0]
+    gt = [t[0]]
+    gv = [v[0]]
+    if path.kind == "pl":
+        for i in range(1, t.size):
+            gt.append(t[i])
+            gv.append(v[i])
+    else:
+        for i in range(1, t.size):
+            if v[i] != v[i - 1]:
+                gt.append(t[i])
+                gv.append(v[i - 1])
+                gt.append(t[i])
+                gv.append(v[i])
+    if gt[-1] < 1.0:
+        gt.append(1.0)
+        gv.append(gv[-1])
+    # drop zero-length segments
+    out_t = [gt[0]]
+    out_v = [gv[0]]
+    for i in range(1, len(gt)):
+        if gt[i] != out_t[-1] or gv[i] != out_v[-1]:
+            out_t.append(gt[i])
+            out_v.append(gv[i])
+    if len(out_t) == 1:
+        out_t.append(1.0)
+        out_v.append(out_v[0])
+    return np.asarray(out_t), np.asarray(out_v)
+
+
+def jump_sequence(path):
+    t = path.times
+    v = path.values[:, 0]
+    jt = []
+    levels = [v[0]]
+    for i in range(1, t.size):
+        if v[i] != v[i - 1]:
+            jt.append(t[i])
+            levels.append(v[i])
+    return np.asarray(jt), np.asarray(levels)

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -282,6 +283,25 @@ class TestConvergeExitCodes:
         "theta_exceedances_zero": ("theta", ["run.theta_exceedances=0"], 2,
                                    KEY + "theta_exceedances'"),
         "n_pts_below_floor": ("fidi", ["run.n_pts=10"], 2, KEY + "n_pts'"),
+        # an empty list key would crash a check or pass it on no rows
+        "n_grid_empty": ("fidi", ["run.n_grid="], 2, KEY + "n_grid'"),
+        "contrast_n_grid_empty": ("contrast", ["run.contrast_n_grid="], 2,
+                                  KEY + "contrast_n_grid'"),
+        "karamata_alphas_empty": ("karamata", ["run.karamata_alphas="], 2,
+                                  KEY + "karamata_alphas'"),
+        "karamata_u_grid_empty": ("karamata", ["run.karamata_u_grid="], 2,
+                                  KEY + "karamata_u_grid'"),
+        "slutsky_u_grid_empty": ("slutsky", ["run.slutsky_u_grid="], 2,
+                                 KEY + "slutsky_u_grid'"),
+        "slutsky_eps_grid_empty": ("slutsky", ["run.slutsky_eps_grid="], 2,
+                                   KEY + "slutsky_eps_grid'"),
+        # the Slutsky bound divides by eps and takes u to a fractional power
+        "slutsky_eps_zero": ("slutsky", ["run.slutsky_eps_grid=0"], 2,
+                             KEY + "slutsky_eps_grid'"),
+        "slutsky_eps_negative": ("slutsky", ["run.slutsky_eps_grid=-1"], 2,
+                                 KEY + "slutsky_eps_grid'"),
+        "slutsky_u_negative": ("slutsky", ["run.slutsky_u_grid=-0.1"], 2,
+                               KEY + "slutsky_u_grid'"),
         # refusals found while a check runs
         "contrast_garch": ("contrast", ["model.variant=garch"], 2,
                            "error: the contrast check needs theoretical norming"),
@@ -304,6 +324,15 @@ class TestConvergeExitCodes:
             assert captured.out == ""
         else:
             assert captured.err == ""
+
+    @pytest.mark.parametrize("command", [["simulate"], ["suite", "--out", "unused"]])
+    def test_empty_n_grid_other_commands(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--set", "run.n_grid="]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(self.KEY + "n_grid'")
+        assert captured.out == ""
+        assert not (tmp_path / "unused").exists()
 
 
 class TestSimulateEstimate:
@@ -353,6 +382,50 @@ class TestSimulateEstimate:
 
 
 class TestLimitsCmd:
+    KEYS = {
+        "alpha", "theta", "c_plus", "c_minus", "gamma1", "r2", "gamma2", "p", "q",
+        "regime", "gamma1_flagged",
+        "stable_alpha", "stable_c", "stable_beta", "stable_tau",
+    }
+    # stdout of the record as it was built field by field, before it came
+    # from the dataclasses
+    RECORDS = {
+        "iid_alpha08": (
+            ["model.alpha=0.8"],
+            '{"alpha": 0.80000000000000004, "c_minus": 0.5, "c_plus": 0.5, "gamma1": 0, '
+            '"gamma1_flagged": false, "gamma2": 0.66666666666666674, "p": 0.5, "q": 0.5, '
+            '"r2": 1, "regime": "(0,1)", "stable_alpha": 0.80000000000000004, '
+            '"stable_beta": 0, "stable_c": 1.4186487255269971, "stable_tau": 0, "theta": 1}',
+        ),
+        "iid_alpha1_p07": (
+            ["model.alpha=1.0", "model.p=0.7"],
+            '{"alpha": 1, "c_minus": 0.30000000000000004, "c_plus": 0.69999999999999996, '
+            '"gamma1": 0, "gamma1_flagged": true, "gamma2": 0, "p": 0.69999999999999996, '
+            '"q": 0.30000000000000004, "r2": 1, "regime": "[1,2)", "stable_alpha": 1, '
+            '"stable_beta": 0.39999999999999991, "stable_c": 1.5707963267948966, '
+            '"stable_tau": 0.16911373403937857, "theta": 1}',
+        ),
+        "linear_alpha12": (
+            ["model.variant=linear", "model.coeffs=1,-0.6,0.3", "model.alpha=1.2"],
+            '{"alpha": 1.2, "c_minus": 0.32590247028319319, "c_plus": 0.32590247028319319, '
+            '"gamma1": 0, "gamma1_flagged": false, "gamma2": -0.4453816649144906, "p": 0.5, '
+            '"q": 0.5, "r2": 1.2497432545525011, "regime": "[1,2)", "stable_alpha": 1.2, '
+            '"stable_beta": 0, "stable_c": 0.65961717132633468, "stable_tau": 0, '
+            '"theta": 0.5625786636542075}',
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RECORDS))
+    def test_record_text(self, case, capsys):
+        sets, want = self.RECORDS[case]
+        args = ["limits"]
+        for ov in sets:
+            args += ["--set", ov]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out == want + "\n"
+        assert set(json.loads(out)) == self.KEYS
+
     def test_linear_record(self, capsys):
         rc = main(
             [

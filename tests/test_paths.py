@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle as oracle
 from m1lab import kernels
 from m1lab.paths import (
     PL,
@@ -13,6 +14,7 @@ from m1lab.paths import (
     DimensionError,
     PathError,
     PreconditionError,
+    _jump_sequence,
     completed_graph,
     eval_path,
     is_monotone_nondecreasing,
@@ -358,6 +360,63 @@ class TestAgainstBruteForce:
                 best = min(best, max(disp, uniform_distance(xs, y)))
             assert dp <= best + tol + 1e-12
             assert dp >= best - 0.08
+
+
+# repeats and signed zeros: +0.0 and -0.0 compare equal, so no jump
+# separates them, yet a vertex must keep the sign its source value has
+SIGNED_LEVELS = [0.0, -0.0, 1.0, -1.5, 2.0]
+
+
+@st.composite
+def extraction_paths(draw):
+    """1-40 breakpoints on a coarse grid or at random, values from
+    SIGNED_LEVELS or a normal."""
+    k = draw(st.integers(min_value=0, max_value=39))
+    if draw(st.booleans()):
+        grid = draw(st.sampled_from([4, 16, 64]))
+        inner = [i / grid for i in draw(st.lists(st.integers(1, grid), max_size=k))]
+    else:
+        inner = draw(st.lists(st.floats(0.001, 1.0), max_size=k))
+    times = np.unique(np.concatenate([[0.0], inner]))
+    level = st.sampled_from(SIGNED_LEVELS) | st.floats(-3.0, 3.0)
+    if draw(st.booleans()):
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        values = np.random.default_rng(seed).normal(size=times.size)
+    else:
+        values = draw(st.lists(level, min_size=times.size, max_size=times.size))
+    return CadlagPath(times, np.asarray(values, dtype=float), draw(st.sampled_from([STEP, PL])))
+
+
+def _assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
+
+class TestGraphExtraction:
+    """The change-index extraction against the former per-breakpoint loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(extraction_paths())
+    def test_matches_loop_oracle(self, path):
+        _assert_same_arrays(completed_graph(path), oracle.completed_graph(path))
+        if path.kind == STEP:
+            _assert_same_arrays(_jump_sequence(path), oracle.jump_sequence(path))
+
+    def test_signed_zero_keeps_pre_jump_value(self):
+        # v[k - 1] is -0.0 while the previous jump level is +0.0
+        path = CadlagPath([0.0, 0.25, 0.5, 0.75], [1.0, 0.0, -0.0, 2.0])
+        gt, gv = completed_graph(path)
+        np.testing.assert_array_equal(gt, [0.0, 0.25, 0.25, 0.75, 0.75, 1.0])
+        np.testing.assert_array_equal(gv, [1.0, 1.0, 0.0, -0.0, 2.0, 2.0])
+        assert np.signbit(gv).tolist() == [False, False, False, True, False, False]
+
+    def test_returns_fresh_arrays(self):
+        path = CadlagPath([0.0, 0.5, 1.0], [0.0, 1.0, 2.0], PL)
+        gt, gv = completed_graph(path)
+        assert not np.shares_memory(gt, path.times)
+        assert not np.shares_memory(gv, path.values)
 
 
 class TestMonotone:

@@ -162,6 +162,77 @@ class TestAnticluster:
         assert increases <= 0.05 * len(m_grid)
 
 
+def _anticluster_loop(data, scheme, u, m_grid):
+    """The per-anchor loop anticluster_diagnostic replaced, copied unchanged."""
+    x = np.abs(np.asarray(data, dtype=float))
+    n = x.size
+    r_n = scheme.r_n
+    anchors = np.flatnonzero(x > u)
+    if anchors.size == 0:
+        raise EstimatorError("no anchor exceedances")
+    exceed = (x > u).astype(np.int64)
+    csum = np.concatenate([[0], np.cumsum(exceed)])
+
+    def window_count(i, lo_off, hi_off):
+        lo = max(i + lo_off, 0)
+        hi = min(i + hi_off, n - 1)
+        if hi < lo:
+            return 0
+        return csum[hi + 1] - csum[lo]
+
+    curve = {}
+    for m in m_grid:
+        m = int(m)
+        if m < 1 or m > r_n:
+            raise EstimatorError("m grid must lie in [1, r_n]")
+        if m == r_n:
+            curve[m] = 0.0
+            continue
+        hits = 0
+        for i in anchors:
+            c = window_count(i, -(r_n - 1), -m) + window_count(i, m, r_n - 1)
+            if c > 0:
+                hits += 1
+        curve[m] = hits / anchors.size
+    return curve
+
+
+class TestAnticlusterAgainstLoop:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_curve(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        r_n = int(rng.integers(1, n + 1))
+        x = rng.standard_cauchy(n)
+        u = float(np.quantile(np.abs(x), rng.uniform(0.0, 0.99)))
+        # exceedances in the first and last r_n places, where windows clip
+        x[0] = x[-1] = 2.0 * abs(u) + 1.0
+        m_grid = sorted({1, r_n, *rng.integers(1, r_n + 1, 4).tolist()})
+        scheme = BlockingScheme(r_n)
+        got = anticluster_diagnostic(x, scheme, u, m_grid)
+        want = _anticluster_loop(x, scheme, u, m_grid)
+        assert list(got) == list(want)
+        for m in want:
+            assert type(got[m]) is float
+            assert got[m] == want[m], m
+
+    def test_edges_and_full_window(self):
+        # anchors at both ends, m = r_n and windows wider than the sample
+        x = np.array([5.0, 0.0, 5.0, 0.0, 0.0, 5.0, 0.0, 5.0])
+        for r_n in (1, 2, 3, 7, 8):
+            scheme = BlockingScheme(r_n)
+            m_grid = list(range(1, r_n + 1))
+            assert anticluster_diagnostic(x, scheme, 1.0, m_grid) == _anticluster_loop(
+                x, scheme, 1.0, m_grid
+            )
+
+    def test_m_outside_range(self):
+        x = np.array([5.0, 0.0, 5.0])
+        for m in (0, 3):
+            with pytest.raises(EstimatorError):
+                anticluster_diagnostic(x, BlockingScheme(2), 1.0, [m])
+
+
 class TestSignSwitch:
     def test_all_positive_no_violations(self):
         s = sample_iid(IidSpec(RegVarSpec(1.0, p=1.0)), 10**4, seed=2)
