@@ -4,7 +4,9 @@ keeps them byte-identical.
 Run:  PYTHONPATH=src python3 benchmarks/bundle_digests.py [--full]
 
 Configs: those of ``bench_suite.py``, plus its ``SUITE_CFG`` with
-``model.variant=linear``, with ``model.alpha=1.5`` and with both; ``--full``
+``model.variant=linear``, with ``model.alpha=1.5``, with both, and with
+``model.alpha=1.5`` on the order-0 linear model (``model.coeffs=1.0``),
+which must print the lines of the ``model.alpha=1.5`` config; ``--full``
 adds the default config (about 40 s).  Each config runs
 ``lab.run_full_suite`` once into a temporary directory, and the script
 prints one ``config file sha256`` line for report.jsonl, manifest.json and
@@ -37,6 +39,10 @@ VARIANTS = [
     ("determinism-alpha15", SUITE_CFG, ["model.alpha=1.5"]),
     # a cluster of width 2 at alpha >= 1: the per-mark truncation of the series
     ("determinism-linear-alpha15", SUITE_CFG, ["model.variant=linear", "model.alpha=1.5"]),
+    # the order-0 moving average spelled out: the same model as
+    # determinism-alpha15, so its three lines equal that config's
+    ("determinism-ma0-alpha15", SUITE_CFG,
+     ["model.variant=linear", "model.coeffs=1.0", "model.alpha=1.5"]),
 ]
 
 

@@ -14,16 +14,7 @@ import numpy as np
 
 from . import lab, tailstats
 from .config import ConfigError, parse_config
-from .models import (
-    IidSpec,
-    LinearSpec,
-    SquaredGarchSpec,
-    model_alpha,
-    model_cluster_law,
-    model_extremal_index,
-    model_positive_weight,
-    sample_model,
-)
+from .models import SquaredGarchSpec, sample_model
 from .paths import (
     PathError,
     j1_distance,
@@ -33,11 +24,7 @@ from .paths import (
     uniform_distance,
     weak_m1_distance,
 )
-from .stable import (
-    StableError,
-    stable_params,
-    triple_from_cluster,
-)
+from .stable import StableError, stable_params
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -119,6 +106,11 @@ def _cmd_estimate(args):
         except ValueError as exc:
             print(f"error: malformed data: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            print(f"error: malformed data: non-finite value in row {bad[0] + 1}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         n = max(cfg.n_grid) if args.n is None else args.n
         sample = sample_model(cfg.model, n, cfg.seed)
@@ -177,18 +169,12 @@ def _cmd_m1dist(args):
 
 def _cmd_limits(args):
     cfg, _ = _load_config(args)
-    spec = cfg.model
-    if not isinstance(spec, (IidSpec, LinearSpec)):
-        print("error: limits needs an analytic cluster law (iid or linear)", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        triple = triple_from_cluster(
-            model_alpha(spec),
-            model_extremal_index(spec),
-            model_cluster_law(spec),
-            p=model_positive_weight(spec),
-        )
+        *_, triple = lab._analytic_setup(cfg)
         params = stable_params(triple)
+    except lab.LabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except StableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT

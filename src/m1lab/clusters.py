@@ -1,9 +1,9 @@
 """Cluster mark distributions: the law of one extremal cluster, normalized so
 the largest absolute mark equals 1.
 
-The law is analytic with a deterministic shape (finite-order linear models:
-shape = coeffs / max|coeff| with a single random sign; i.i.d. models: the
-one-mark shape).
+The law is analytic with a deterministic shape: for a finite-order linear
+model, shape = coeffs / max|coeff| with a single random sign.  The i.i.d.
+model is the order-0 case, whose shape is the one mark [1.0].
 """
 
 from dataclasses import dataclass
@@ -59,8 +59,3 @@ class ClusterDistribution:
             np.sum(np.sign(self.shape) * np.abs(self.shape) ** alpha)
         )
         return c_plus, c_minus, r2, mean_sum, sq, signed
-
-
-def singleton_cluster(p=1.0):
-    """Cluster of one mark, +1 w.p. p and -1 otherwise (i.i.d. models)."""
-    return ClusterDistribution(p=p, shape=np.array([1.0]))

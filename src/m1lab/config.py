@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .models import (
     GarchSpec,
-    IidSpec,
     LinearSpec,
     ModelError,
     RegVarSpec,
@@ -159,6 +158,11 @@ class ExperimentConfig:
             raise ConfigError("key 'run.t_grid': times must lie in [0,1] and include 1")
         if not 0.0 < self.kappa < 1.0:
             raise ConfigError(f"key 'run.kappa': {self.kappa} outside the valid range (0,1)")
+        # the truncation-gap bound eps^{-1} alpha u^{1-alpha}/(1-alpha) needs alpha < 1
+        if not 0.0 < self.slutsky_alpha < 1.0:
+            raise ConfigError(
+                f"key 'run.slutsky_alpha': {self.slutsky_alpha} outside the valid range (0,1)"
+            )
         # the Karamata limits u^{1-alpha} alpha/(1-alpha) need these ranges
         if not all(0.0 < a < 1.0 for a in self.karamata_alphas):
             raise ConfigError("key 'run.karamata_alphas': every alpha must lie in (0,1)")
@@ -218,11 +222,11 @@ def _build_model(values):
             raise ConfigError(f"key 'model.alpha': {alpha} outside the valid range (0,2)")
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"key 'model.p': {p} outside [0,1]")
-    if variant == "iid":
-        return IidSpec(RegVarSpec(alpha, p))
-    if variant == "linear":
+    if variant in ("iid", "linear"):
+        # iid is the moving average of order 0 and ignores model.coeffs
+        coeffs = (1.0,) if variant == "iid" else values[("model", "coeffs")]
         try:
-            return LinearSpec(values[("model", "coeffs")], RegVarSpec(alpha, p))
+            return LinearSpec(coeffs, RegVarSpec(alpha, p))
         except ModelError as exc:
             raise ConfigError(f"model: {exc}") from None
     if variant in ("garch", "squared_garch"):

@@ -13,6 +13,11 @@ a check draws at derive_seed(stream_seed(config.seed, tag), r), where the
 tag names the check (and sample size), so results do not depend on
 scheduling or worker count.  fidi and selfnorm read one pass of replicates
 (tags selfnorm-n{n}) and limit draws (levy-selfnorm), see _marginal_pass.
+
+The checks that need theoretical norming or an analytic cluster law take
+the moving-average family ``LinearSpec``; the iid model is its order 0,
+``LinearSpec((1.0,), rv)``, and a model counts as clustered when it has
+more than one coefficient.
 """
 
 import hashlib
@@ -26,7 +31,6 @@ import numpy as np
 
 from . import tailstats
 from .models import (
-    IidSpec,
     LinearSpec,
     RegVarSpec,
     an_theoretical,
@@ -123,11 +127,8 @@ class ConvergenceReport:
 
 def _analytic_setup(config):
     spec = config.model
-    if not isinstance(spec, (IidSpec, LinearSpec)):
-        raise LabError(
-            "fixed-time convergence checks need an analytic cluster law "
-            "(iid or linear model)"
-        )
+    if not isinstance(spec, LinearSpec):
+        raise LabError("an analytic cluster law is needed: the model must be iid or linear")
     alpha = model_alpha(spec)
     theta = model_extremal_index(spec)
     cluster = model_cluster_law(spec)
@@ -235,7 +236,7 @@ def run_selfnorm_convergence(config, shared=None):
     _alpha, draws, by_n = shared() if shared else _marginal_pass(config)
     lim = draws["l1"] / np.sqrt(draws["l2_total"])[:, None]
     spec = config.model
-    clustered = isinstance(spec, LinearSpec) and len(spec.coeffs) > 1
+    clustered = len(spec.coeffs) > 1
     tol_key = "ks_selfnorm_clustered" if clustered else "ks_selfnorm"
     res = CheckResult(check="selfnorm", thresholds={tol_key: config.tolerances[tol_key]})
     ks_by_n = {}
@@ -264,12 +265,12 @@ def run_j1_vs_m1_contrast(config):
     """Distances between the normalized sum path and its block-collapsed
     version under both jump topologies, per replicate and sample size."""
     spec = config.model
-    if not isinstance(spec, (IidSpec, LinearSpec)):
+    if not isinstance(spec, LinearSpec):
         raise LabError("the contrast check needs theoretical norming (iid or linear model)")
     res = CheckResult(
         check="contrast", thresholds={"m1_j1_frac": config.tolerances["m1_j1_frac"]}
     )
-    clustered = isinstance(spec, LinearSpec) and len(spec.coeffs) > 1
+    clustered = len(spec.coeffs) > 1
     med_m1 = {}
     orderings = []
     for n in config.contrast_n_grid:
@@ -443,14 +444,13 @@ def run_slutsky_bound_check(config):
     The gap is sup_t of the max-norm of the below-threshold partial-sum
     pair; violations are exceedances of the bound beyond 3 binomial
     standard errors.  Event nesting makes each replicate's indicator
-    monotone in eps by construction.
+    monotone in eps by construction.  ``run.slutsky_alpha`` lies in (0,1),
+    as the bound needs; the config checks that when it is built.
     """
     alpha = config.slutsky_alpha
-    if not 0.0 < alpha < 1.0:
-        raise LabError("the truncation-gap bound needs alpha in (0,1)")
     n = config.slutsky_n
     reps = config.slutsky_replicates
-    spec = IidSpec(RegVarSpec(alpha, p=1.0))
+    spec = LinearSpec((1.0,), RegVarSpec(alpha, p=1.0))
     a_n = an_theoretical(spec, n)
     base = stream_seed(config.seed, "slutsky")
     sup_gap = {u: np.empty(reps) for u in config.slutsky_u_grid}
@@ -498,7 +498,7 @@ def run_theta_recovery(config):
         check="theta", thresholds={"theta_abs": config.tolerances["theta_abs"]}
     )
     specs = [
-        ("iid", IidSpec(RegVarSpec(1.0, p=1.0)), 1.0),
+        ("iid", LinearSpec((1.0,), RegVarSpec(1.0, p=1.0)), 1.0),
         ("ma_1_05", LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0)), 2.0 / 3.0),
         ("ma_1_1", LinearSpec((1.0, 1.0), RegVarSpec(1.0, p=1.0)), 0.5),
     ]
@@ -701,14 +701,14 @@ def _write_sample_paths(config, paths_dir):
         x = sample_model(spec, n, stream_seed(config.seed, "paths")).values
         if x.ndim > 1:
             x = x[:, 0]
-        a_n = an_theoretical(spec, n) if isinstance(spec, (IidSpec, LinearSpec)) else float(
+        a_n = an_theoretical(spec, n) if isinstance(spec, LinearSpec) else float(
             np.quantile(np.abs(x), 1.0 - 1.0 / n)
         )
         pair = build_Ln(x, a_n)
         save_joint_csv(pair, os.path.join(paths_dir, "partial_sums.csv"))
     except Exception as exc:
         return f"partial_sums.csv not written: {type(exc).__name__}: {exc}"
-    if isinstance(spec, (IidSpec, LinearSpec)):
+    if isinstance(spec, LinearSpec):
         _spec, _alpha, _theta, cluster, triple = _analytic_setup(config)
         pair, _meta = simulate_levy_pair(
             triple, cluster, n_pts=config.n_pts, seed=stream_seed(config.seed, "limitpath")

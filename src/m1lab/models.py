@@ -5,6 +5,10 @@ for x >= 1, sign +1 with probability p.  With that choice the norming
 sequence solving n P(|X| > a_n) -> 1 is a_n = scale * n^{1/alpha} exactly,
 which keeps the truncated-moment and small-jump bounds sharp.
 
+The analytic family is the finite-order moving average ``LinearSpec``; the
+i.i.d. model is its order 0, ``LinearSpec((1.0,), rv)``, and every
+dispatcher below gives it the i.i.d. values bit for bit.
+
 Generators are pure functions of (spec, n, seed); replicate r of a study
 uses seed XOR r (``derive_seed``), so replications parallelize without any
 shared state.
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .clusters import ClusterDistribution, singleton_cluster
+from .clusters import ClusterDistribution
 
 
 class ModelError(ValueError):
@@ -45,13 +49,12 @@ class RegVarSpec:
 
 
 @dataclass(frozen=True)
-class IidSpec:
-    rv: RegVarSpec
-
-
-@dataclass(frozen=True)
 class LinearSpec:
-    """Finite-order moving average X_i = sum_j coeffs[j] * Z_{i-j}."""
+    """Finite-order moving average X_i = sum_j coeffs[j] * Z_{i-j}.
+
+    Order 0 with ``coeffs = (1.0,)`` is the i.i.d. model: theta = 1, the
+    marginal weight p, a_n = scale * n^{1/alpha} and the one-mark cluster.
+    """
 
     coeffs: tuple
     innovation: RegVarSpec
@@ -90,7 +93,7 @@ class SquaredGarchSpec:
     inner: GarchSpec
 
 
-ModelSpec = IidSpec | LinearSpec | GarchSpec | SquaredGarchSpec
+ModelSpec = LinearSpec | GarchSpec | SquaredGarchSpec
 
 
 @dataclass(frozen=True)
@@ -115,15 +118,6 @@ def _pareto_draws(rv, n, rng):
     return rv.scale * mag * sign
 
 
-def sample_iid(spec, n, seed):
-    """I.i.d. two-sided Pareto draws."""
-    rv = spec.rv if isinstance(spec, IidSpec) else spec
-    if n < 1:
-        raise ModelError("need n >= 1")
-    vals = _pareto_draws(rv, n, _rng(seed))
-    return SeriesSample(vals)
-
-
 def sample_linear(spec, n, seed):
     """Moving average of i.i.d. heavy-tailed innovations.
 
@@ -135,7 +129,8 @@ def sample_linear(spec, n, seed):
     m = spec.order
     z = _pareto_draws(spec.innovation, n + m, _rng(seed))
     phi = np.asarray(spec.coeffs)
-    x = np.convolve(z, phi, mode="valid") if m > 0 else phi[0] * z
+    # order 0 (the i.i.d. model) scales the draws in place: no second array
+    x = np.convolve(z, phi, mode="valid") if m > 0 else np.multiply(z, phi[0], out=z)
     return SeriesSample(x)
 
 
@@ -160,11 +155,6 @@ def linear_cluster_law(spec):
     sign variable is +/-1 with weights (p, q) of the innovation law.
     """
     return ClusterDistribution(p=spec.innovation.p, shape=np.asarray(spec.coeffs))
-
-
-def iid_cluster_law(spec):
-    rv = spec.rv if isinstance(spec, IidSpec) else spec
-    return singleton_cluster(rv.p)
 
 
 def _garch_path(spec, n, seed, burnin):
@@ -268,8 +258,6 @@ def solve_garch_alpha(spec, tol=1e-10, alpha_max=10.0):
 
 def model_alpha(spec):
     """Tail index of the model's observed series."""
-    if isinstance(spec, IidSpec):
-        return spec.rv.alpha
     if isinstance(spec, LinearSpec):
         return spec.innovation.alpha
     if isinstance(spec, GarchSpec):
@@ -281,8 +269,6 @@ def model_alpha(spec):
 
 def model_positive_weight(spec):
     """Positive-tail weight of the observed series' marginal."""
-    if isinstance(spec, IidSpec):
-        return spec.rv.p
     if isinstance(spec, LinearSpec):
         alpha = spec.innovation.alpha
         p = spec.innovation.p
@@ -296,24 +282,18 @@ def model_positive_weight(spec):
 
 
 def model_cluster_law(spec):
-    if isinstance(spec, IidSpec):
-        return iid_cluster_law(spec)
     if isinstance(spec, LinearSpec):
         return linear_cluster_law(spec)
     raise ModelError("no analytic cluster law for this model (iid or linear only)")
 
 
 def model_extremal_index(spec):
-    if isinstance(spec, IidSpec):
-        return 1.0
     if isinstance(spec, LinearSpec):
         return linear_extremal_index(spec)
     raise ModelError("analytic extremal index available for iid and linear models only")
 
 
 def sample_model(spec, n, seed):
-    if isinstance(spec, IidSpec):
-        return sample_iid(spec, n, seed)
     if isinstance(spec, LinearSpec):
         return sample_linear(spec, n, seed)
     if isinstance(spec, GarchSpec):
@@ -325,10 +305,6 @@ def sample_model(spec, n, seed):
 
 def an_theoretical(spec, n):
     """Norming constant with n P(|X| > a_n) = 1 for the canonical marginals."""
-    if isinstance(spec, RegVarSpec):
-        return spec.scale * n ** (1.0 / spec.alpha)
-    if isinstance(spec, IidSpec):
-        return an_theoretical(spec.rv, n)
     if isinstance(spec, LinearSpec):
         # tail of the sum is the tail-ratio multiple of the innovation tail
         rv = spec.innovation

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import IidSpec, model_alpha, sample_model
+from .models import LinearSpec, model_alpha, sample_model
 from .paths import STEP, CadlagPath
 
 
@@ -64,14 +64,14 @@ def centering_constants(spec, a_n, n, mc_size=10**6, seed=0, se_tol=None):
     """b1n = E[(X/a_n) 1{|X|/a_n <= 1}], b2n = E[(X^2/a_n^2) 1{X^2/a_n^2 <= 1}].
 
     Zero in the alpha < 1 regime.  Closed-form Pareto integrals for the
-    canonical i.i.d. spec; Monte Carlo with reported standard errors
-    otherwise.
+    canonical i.i.d. spec (order-0 moving average, unit scale); Monte Carlo
+    with reported standard errors otherwise.
     """
     alpha = model_alpha(spec)
     if alpha < 1.0:
         return CenteringConstants(0.0, 0.0, alpha)
-    if isinstance(spec, IidSpec) and spec.rv.scale == 1.0:
-        rv = spec.rv
+    if isinstance(spec, LinearSpec) and spec.coeffs == (1.0,) and spec.innovation.scale == 1.0:
+        rv = spec.innovation
         m1 = _pareto_truncated_abs_moment(alpha, 1.0, a_n)
         m2 = _pareto_truncated_abs_moment(alpha, 2.0, a_n)
         b1n = (rv.p - rv.q) * m1 / a_n

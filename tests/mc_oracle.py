@@ -6,8 +6,9 @@ samplers draw signs by arithmetic on the uniform mask; and
 ``stable.levy_marginal_draws`` counts jump times unsorted and gathers the
 sorted jumps with one flat ``np.take``; ``stable._levy_series`` builds its
 points and squares in place and draws one sign per point in place of a
-marks array.  These are the forms they replaced, copied
-unchanged.  ``tests/test_mc_oracle.py`` asserts that both give the same
+marks array; and the i.i.d. model is the order-0 ``LinearSpec``, which
+replaced its own sampler ``sample_iid``.  These are the forms they
+replaced, copied unchanged.  ``tests/test_mc_oracle.py`` asserts that both give the same
 bits.
 """
 
@@ -41,6 +42,15 @@ def pareto_draws(rv, n, rng):
     mag = (1.0 - rng.random(n)) ** (-1.0 / rv.alpha)
     sign = np.where(rng.random(n) < rv.p, 1.0, -1.0)
     return rv.scale * mag * sign
+
+
+def sample_iid(rv, n, seed):
+    # The former i.i.d. sampler: n two-sided Pareto draws of the marginal rv
+    # (the former ``IidSpec(rv)``), from the seed's own generator.
+    if n < 1:
+        raise ValueError("need n >= 1")
+    rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    return pareto_draws(rv, n, rng)
 
 
 def cluster_sample(cluster, rng, size):

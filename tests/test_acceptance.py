@@ -19,17 +19,15 @@ import pytest
 from scipy.stats import ks_2samp
 
 from m1lab import lab
-from m1lab.clusters import singleton_cluster
+from m1lab.clusters import ClusterDistribution
 from m1lab.config import default_config, replace_config
 from m1lab.models import (
     GarchSpec,
-    IidSpec,
     LinearSpec,
     RegVarSpec,
     an_theoretical,
     derive_seed,
     garch_moment,
-    sample_iid,
     sample_model,
     solve_garch_alpha,
 )
@@ -165,7 +163,7 @@ def test_criterion_05_exponent_consistency():
     ok = True
     worst = 0.0
     for alpha in (0.5, 1.5):
-        triple = triple_from_cluster(alpha, 1.0, singleton_cluster(1.0))
+        triple = triple_from_cluster(alpha, 1.0, ClusterDistribution(np.array([1.0]), 1.0))
         params = stable_params(triple)
         for z in np.linspace(-5.0, 5.0, 21):
             if z == 0.0:
@@ -187,7 +185,7 @@ def test_criterion_06_series_vs_cms():
     t0 = time.perf_counter()
     ok = True
     for alpha in (0.5, 0.8, 1.2, 1.5):
-        cluster = singleton_cluster(1.0)
+        cluster = ClusterDistribution(np.array([1.0]), 1.0)
         triple = triple_from_cluster(alpha, 1.0, cluster)
         draws = levy_marginal_draws(
             triple, cluster, [1.0], 2000, n_pts=2000, seed=601 + int(10 * alpha)
@@ -206,7 +204,7 @@ def test_criterion_07_selfnorm_convergence():
     base = replace_config(
         default_config(), n_grid=(10000,), replicates=2000, limit_draws=2000
     )
-    iid_cfg = replace_config(base, model=IidSpec(RegVarSpec(0.8, p=1.0)))
+    iid_cfg = replace_config(base, model=LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)))
     res = lab.run_selfnorm_convergence(iid_cfg)
     ks_iid = next(
         r["ks"] for r in res.rows if r["check"] == "selfnorm" and r["t"] == 1.0

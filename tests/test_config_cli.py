@@ -10,7 +10,7 @@ import pytest
 import m1lab
 from m1lab.cli import main
 from m1lab.config import ConfigError, default_config, parse_config, replace_config
-from m1lab.models import IidSpec, LinearSpec
+from m1lab.models import LinearSpec, RegVarSpec
 from m1lab.paths import CadlagPath, save_path_csv
 
 
@@ -18,8 +18,7 @@ class TestParse:
     def test_minimal_defaults(self):
         cfg, echo = parse_config("[model]\nvariant = iid\nalpha = 0.8\n")
         assert cfg.n_grid == (100, 1000, 10000)
-        assert isinstance(cfg.model, IidSpec)
-        assert cfg.model.rv.alpha == 0.8
+        assert cfg.model == LinearSpec((1.0,), RegVarSpec(0.8, p=0.5))
         assert any("n_grid" in line for line in echo)
 
     def test_alpha_out_of_range(self):
@@ -54,6 +53,19 @@ class TestParse:
         )
         assert isinstance(cfg.model, LinearSpec)
         assert cfg.model.coeffs == (1.0, 0.5)
+
+    def test_iid_is_order_zero_linear(self):
+        # one model, two spellings: equal configs and digests; iid ignores coeffs
+        iid, _ = parse_config("[model]\nvariant = iid\nalpha = 1.5\np = 0.7\n")
+        ma0, _ = parse_config(
+            "[model]\nvariant = linear\ncoeffs = 1.0\nalpha = 1.5\np = 0.7\n"
+        )
+        iid_coeffs, _ = parse_config(
+            "[model]\nvariant = iid\ncoeffs = 1.0, 0.5\nalpha = 1.5\np = 0.7\n"
+        )
+        assert iid.model == LinearSpec((1.0,), RegVarSpec(1.5, p=0.7))
+        assert iid == ma0 == iid_coeffs
+        assert iid.digest() == ma0.digest() == iid_coeffs.digest()
 
     def test_t_grid_must_include_one(self):
         with pytest.raises(ConfigError, match="t_grid"):
@@ -221,6 +233,13 @@ class TestEstimateExitCodes:
         "non_numeric_cell": ("i,x\n1,0.5\n2,abc\n", [], 2, "error: malformed data: "),
         "missing_column": ("x\n1\n2\n", [], 2, "error: malformed data: "),
         "too_few_values": ("i,x\n1,2.0\n", [], 2, "error: need 0 < k < n"),
+        # a non-finite value is malformed data, whichever row holds it
+        "infinite_value": ("i,x\n" + "".join(f"{i},{'inf' if i == 7 else i % 97 + 1.5}\n"
+                                             for i in range(1, 2001)), [], 2,
+                           "error: malformed data: non-finite value in row 7"),
+        "nan_value": ("i,x\n" + "".join(f"{i},{'nan' if i == 1500 else i % 97 + 1.5}\n"
+                                        for i in range(1, 2001)), [], 2,
+                      "error: malformed data: non-finite value in row 1500"),
         "out_in_missing_dir": (
             None, ["--n", "2000", "--out", "{tmp}/no_such_dir/d.jsonl"], 3,
             "error: cannot write output: ",
@@ -258,6 +277,9 @@ class TestConvergeExitCodes:
                             KEY + "karamata_u_grid'"),
         "karamata_u_negative": ("karamata", ["run.karamata_u_grid=-0.1"], 2,
                                 KEY + "karamata_u_grid'"),
+        "slutsky_alpha_one": ("slutsky", ["run.slutsky_alpha=1.0"], 2,
+                              KEY + "slutsky_alpha'"),
+        "slutsky_alpha_zero": ("slutsky", ["run.slutsky_alpha=0"], 2, KEY + "slutsky_alpha'"),
         "kappa_above_one": ("theta", ["run.kappa=1.5"], 2, KEY + "kappa'"),
         "kappa_zero": ("theta", ["run.kappa=0"], 2, KEY + "kappa'"),
         "karamata_valid": (

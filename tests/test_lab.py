@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from m1lab import lab
-from m1lab.config import default_config, replace_config
-from m1lab.models import GarchSpec, IidSpec, LinearSpec, RegVarSpec
+from m1lab.config import ConfigError, default_config, replace_config
+from m1lab.models import GarchSpec, LinearSpec, RegVarSpec
 
 
 def small_config(**over):
     base = dict(
-        model=IidSpec(RegVarSpec(0.8, p=0.5)),
+        model=LinearSpec((1.0,), RegVarSpec(0.8, p=0.5)),
         n_grid=(100, 1000),
         replicates=250,
         limit_draws=400,
@@ -68,7 +68,7 @@ class TestFidi:
         runs = 10
         for i in range(runs):
             cfg = small_config(
-                model=IidSpec(RegVarSpec(0.8, p=1.0)),
+                model=LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)),
                 seed=1000 + i,
                 replicates=250,
                 n_grid=(100, 10000),
@@ -83,7 +83,7 @@ class TestSelfnorm:
     def test_scale_free_statistic(self):
         cfg = small_config()
         a = lab.run_selfnorm_convergence(cfg)
-        scaled = small_config(model=IidSpec(RegVarSpec(0.8, p=0.5, scale=2.0**8)))
+        scaled = small_config(model=LinearSpec((1.0,), RegVarSpec(0.8, p=0.5, scale=2.0**8)))
         b = lab.run_selfnorm_convergence(scaled)
         ka = [r["ks"] for r in a.rows if r["check"] == "selfnorm"]
         kb = [r["ks"] for r in b.rows if r["check"] == "selfnorm"]
@@ -102,7 +102,7 @@ class TestContrast:
         from m1lab.sumproc import build_Ln, collapse_clusters
         from m1lab.tailstats import BlockingScheme
 
-        spec = IidSpec(RegVarSpec(0.8, p=1.0))
+        spec = LinearSpec((1.0,), RegVarSpec(0.8, p=1.0))
         x = sample_model(spec, 100, 5).values
         path = build_Ln(x, an_theoretical(spec, 100)).l1
         collapsed = collapse_clusters(path, BlockingScheme(1))
@@ -128,7 +128,7 @@ class TestContrast:
 
     def test_iid_both_small(self):
         cfg = small_config(
-            model=IidSpec(RegVarSpec(0.8, p=1.0)),
+            model=LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)),
             contrast_n_grid=(400,),
             contrast_replicates=15,
         )
@@ -187,9 +187,9 @@ class TestSlutsky:
             assert emp[-1] == 0.0
 
     def test_alpha_range_guard(self):
-        cfg = small_config(slutsky_alpha=1.2)
-        with pytest.raises(lab.LabError):
-            lab.run_slutsky_bound_check(cfg)
+        # the bound needs alpha in (0,1); the config refuses other values
+        with pytest.raises(ConfigError, match="key 'run.slutsky_alpha'"):
+            small_config(slutsky_alpha=1.2)
 
 
 class TestSuite:
@@ -268,7 +268,7 @@ class TestSuite:
         from m1lab.models import derive_seed, sample_model
         from m1lab.sumproc import self_normalized_at
 
-        spec = IidSpec(RegVarSpec(0.8, p=0.5))
+        spec = LinearSpec((1.0,), RegVarSpec(0.8, p=0.5))
         vals = np.array(
             [
                 self_normalized_at(sample_model(spec, 1000, derive_seed(404, r)).values, [1.0])[0]
@@ -482,7 +482,7 @@ class TestMarginalPass:
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_rows_equal_checks_alone(self, alpha):
-        cfg = overlap_config(model=IidSpec(RegVarSpec(alpha, p=0.5)))
+        cfg = overlap_config(model=LinearSpec((1.0,), RegVarSpec(alpha, p=0.5)))
         report = lab.run_full_suite(cfg)
         for fn in (lab.run_fidi_convergence, lab.run_selfnorm_convergence):
             alone = fn(cfg)

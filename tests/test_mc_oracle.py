@@ -12,7 +12,7 @@ import pytest
 import mc_oracle as oracle
 from m1lab import lab, stable
 from m1lab.config import default_config, replace_config
-from m1lab.models import IidSpec, LinearSpec, RegVarSpec, _pareto_draws
+from m1lab.models import LinearSpec, RegVarSpec, _pareto_draws
 
 
 class TestKaramataSums:
@@ -53,9 +53,9 @@ class TestLevyMarginalDraws:
     @pytest.mark.parametrize(
         "spec",
         [
-            IidSpec(RegVarSpec(0.8, p=0.5)),
+            LinearSpec((1.0,), RegVarSpec(0.8, p=0.5)),
             LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=0.5)),
-            IidSpec(RegVarSpec(1.5, p=0.7)),
+            LinearSpec((1.0,), RegVarSpec(1.5, p=0.7)),
         ],
     )
     def test_draws_equal_former_gather(self, spec):
@@ -73,10 +73,10 @@ class TestLevyMarginalDraws:
 
 # (label, spec): the model's analytic setup gives the cluster and triple
 SERIES_CASES = [
-    ("iid_0.8", IidSpec(RegVarSpec(0.8, p=0.5))),
+    ("iid_0.8", LinearSpec((1.0,), RegVarSpec(0.8, p=0.5))),
     ("linear_1_0.5", LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=0.5))),
-    ("iid_1.5", IidSpec(RegVarSpec(1.5, p=0.7))),
-    ("iid_1.0", IidSpec(RegVarSpec(1.0, p=0.6))),
+    ("iid_1.5", LinearSpec((1.0,), RegVarSpec(1.5, p=0.7))),
+    ("iid_1.0", LinearSpec((1.0,), RegVarSpec(1.0, p=0.6))),
     ("linear_1_-0.6_0.3", LinearSpec((1.0, -0.6, 0.3), RegVarSpec(1.2, p=0.7))),
 ]
 

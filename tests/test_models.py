@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from m1lab.clusters import singleton_cluster
+import mc_oracle as oracle
+from m1lab.clusters import ClusterDistribution
 from m1lab.models import (
     GarchSpec,
-    IidSpec,
     LinearSpec,
     ModelError,
     RegVarSpec,
@@ -17,10 +17,13 @@ from m1lab.models import (
     linear_cluster_law,
     linear_extremal_index,
     linear_tail_ratio,
+    model_alpha,
+    model_cluster_law,
+    model_extremal_index,
     model_positive_weight,
     sample_garch,
-    sample_iid,
     sample_linear,
+    sample_model,
     sample_squared_garch,
     solve_garch_alpha,
 )
@@ -42,26 +45,40 @@ class TestRegVarSpec:
 class TestIid:
     def test_extreme_quantile_near_norming(self):
         # alpha=1, n=1e6: the (1 - 1/n)-quantile targets n^{1/alpha}
-        s = sample_iid(IidSpec(RegVarSpec(1.0, p=1.0)), 10**6, seed=42)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0, p=1.0)), 10**6, seed=42)
         q = np.quantile(np.abs(s.values), 1.0 - 1e-6)
         assert 0.3 * 10**6 <= q <= 3.0 * 10**6
 
     def test_all_positive_when_p_one(self):
-        s = sample_iid(IidSpec(RegVarSpec(0.8, p=1.0)), 10**4, seed=1)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)), 10**4, seed=1)
         assert np.all(s.values > 0)
 
     def test_deterministic(self):
-        a = sample_iid(IidSpec(RegVarSpec(1.2, p=0.5)), 1000, seed=7)
-        b = sample_iid(IidSpec(RegVarSpec(1.2, p=0.5)), 1000, seed=7)
+        a = sample_linear(LinearSpec((1.0,), RegVarSpec(1.2, p=0.5)), 1000, seed=7)
+        b = sample_linear(LinearSpec((1.0,), RegVarSpec(1.2, p=0.5)), 1000, seed=7)
         assert np.array_equal(a.values, b.values)
+
+
+# the order-0 grid: tail index, positive-tail weight, scale, sample size
+ORDER0_ALPHAS = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 1.9)
+ORDER0_PS = (0.0, 0.3, 0.5, 0.7, 1.0)
+ORDER0_SCALES = (1.0, 2.0**8, 1.0 + 1e-12, 3.7)
+ORDER0_NS = (1, 7, 100, 10**3, 10**4)
 
 
 class TestLinear:
     def test_order_zero_matches_iid(self):
-        rv = RegVarSpec(1.0, p=0.5)
-        lin = sample_linear(LinearSpec((1.0,), rv), 1000, seed=3)
-        iid = sample_iid(IidSpec(rv), 1000, seed=3)
-        assert np.array_equal(lin.values, iid.values)
+        # the i.i.d. model is the order-0 moving average: its draws are those
+        # of the former i.i.d. sampler, bit for bit, over the order-0 grid
+        for alpha in ORDER0_ALPHAS:
+            for p in ORDER0_PS:
+                for scale in ORDER0_SCALES:
+                    rv = RegVarSpec(alpha, p=p, scale=scale)
+                    for n in ORDER0_NS:
+                        for seed in (0, 3, 2**64 - 1):
+                            got = sample_model(LinearSpec((1.0,), rv), n, seed).values
+                            want = oracle.sample_iid(rv, n, seed)
+                            assert got.tobytes() == want.tobytes(), (alpha, p, scale, n, seed)
 
     def test_adjacent_same_sign_pairs(self):
         # phi = (1,1): a large innovation shows up in two adjacent values
@@ -94,7 +111,7 @@ class TestLinear:
         rv = RegVarSpec(1.0, p=1.0)
         lin = LinearSpec((1.0, 0.5), rv)
         s = sample_linear(lin, 10**6, seed=11)
-        z = sample_iid(IidSpec(rv), 10**6, seed=12)
+        z = sample_linear(LinearSpec((1.0,), rv), 10**6, seed=12)
         x0 = np.quantile(np.abs(z.values), 0.995)
         ratio = np.mean(np.abs(s.values) > x0) / np.mean(np.abs(z.values) > x0)
         assert ratio == pytest.approx(1.5, rel=0.15)
@@ -109,10 +126,32 @@ class TestLinear:
         ) == pytest.approx(0.5)
 
 
+class TestOrderZero:
+    """The i.i.d. model is LinearSpec((1.0,), rv): its analytic quantities
+    are the i.i.d. closed forms, exactly (its draws: TestLinear)."""
+
+    @pytest.mark.parametrize("alpha", ORDER0_ALPHAS)
+    def test_closed_forms(self, alpha):
+        for p in ORDER0_PS:
+            for scale in ORDER0_SCALES:
+                spec = LinearSpec((1.0,), RegVarSpec(alpha, p=p, scale=scale))
+                assert model_alpha(spec) == alpha
+                for n in ORDER0_NS:
+                    assert an_theoretical(spec, n) == scale * n ** (1.0 / alpha)
+                theta = model_extremal_index(spec)
+                assert theta == 1.0 and type(theta) is float
+                weight = model_positive_weight(spec)
+                assert weight == p and type(weight) is float
+                cluster = model_cluster_law(spec)
+                assert cluster.shape.tolist() == [1.0] and cluster.p == p
+                one_mark = ClusterDistribution(np.array([1.0]), p)
+                assert cluster.exact_sum_moments(alpha) == one_mark.exact_sum_moments(alpha)
+
+
 class TestClusterLaw:
     def test_iid_singleton(self):
         # each series jump is +-point, positive w.p. p
-        cl = singleton_cluster(p=0.7)
+        cl = ClusterDistribution(np.array([1.0]), 0.7)
         assert cl.shape.tolist() == [1.0]
         s = _levy_series(triple_from_cluster(0.8, 1.0, cl), cl, (4,), 1000, 20240503)
         assert np.array_equal(np.square(s.jump1), s.jump2)
@@ -233,7 +272,7 @@ class TestInvariants:
         n = 10**6
         k = int(np.ceil(n**0.6))
         for alpha in (0.5, 0.8, 1.2, 1.5):
-            s = sample_iid(IidSpec(RegVarSpec(alpha, p=1.0)), n, seed=100)
+            s = sample_linear(LinearSpec((1.0,), RegVarSpec(alpha, p=1.0)), n, seed=100)
             assert hill_alpha(s.values, k) == pytest.approx(alpha, abs=0.1)
 
     def test_hill_recovery_linear(self):
@@ -254,7 +293,7 @@ class TestInvariants:
 
     def test_sign_balance_at_extreme_quantile(self):
         for p in (1.0, 0.7, 0.5):
-            s = sample_iid(IidSpec(RegVarSpec(1.0, p=p)), 10**6, seed=103)
+            s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0, p=p)), 10**6, seed=103)
             u = np.quantile(np.abs(s.values), 0.999)
             exc = s.values[np.abs(s.values) > u]
             assert np.mean(exc > 0) == pytest.approx(p, abs=0.05)
@@ -263,7 +302,7 @@ class TestInvariants:
         n = 10**5
         scheme = BlockingScheme.from_exponent(n, 0.5)
         for spec, sampler in [
-            (IidSpec(RegVarSpec(0.8, p=1.0)), sample_iid),
+            (LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)), sample_linear),
             (LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=1.0)), sample_linear),
         ]:
             s = sampler(spec, n, seed=104)
@@ -276,10 +315,10 @@ class TestInvariants:
 
 class TestNorming:
     def test_closed_form(self):
-        assert an_theoretical(IidSpec(RegVarSpec(1.5)), 100) == pytest.approx(
+        assert an_theoretical(LinearSpec((1.0,), RegVarSpec(1.5)), 100) == pytest.approx(
             100 ** (2.0 / 3.0)
         )
-        assert an_theoretical(IidSpec(RegVarSpec(1.0)), 10**4) == pytest.approx(1e4)
+        assert an_theoretical(LinearSpec((1.0,), RegVarSpec(1.0)), 10**4) == pytest.approx(1e4)
 
     def test_linear_uses_tail_ratio(self):
         lin = LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0))

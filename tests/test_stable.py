@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from m1lab.clusters import singleton_cluster
+from m1lab.clusters import ClusterDistribution
 from m1lab.models import (
-    IidSpec,
     LinearSpec,
     RegVarSpec,
     linear_cluster_law,
@@ -30,14 +29,19 @@ from m1lab.stable import (
 )
 
 
+def one_mark(p):
+    """The one-mark cluster of the i.i.d. model, +1 w.p. p and -1 otherwise."""
+    return ClusterDistribution(np.array([1.0]), p)
+
+
 class TestTripleFromCluster:
     def test_singleton_positive(self):
-        tr = triple_from_cluster(0.8, 1.0, singleton_cluster(1.0))
+        tr = triple_from_cluster(0.8, 1.0, one_mark(1.0))
         assert tr.c_plus == 1.0 and tr.c_minus == 0.0 and tr.r2 == 1.0
         assert tr.p == pytest.approx(1.0)
 
     def test_singleton_two_point(self):
-        tr = triple_from_cluster(0.8, 1.0, singleton_cluster(0.3))
+        tr = triple_from_cluster(0.8, 1.0, one_mark(0.3))
         assert tr.c_plus == pytest.approx(0.3)
         assert tr.c_minus == pytest.approx(0.7)
         assert tr.r2 == 1.0
@@ -49,7 +53,7 @@ class TestTripleFromCluster:
         assert gamma1_for(1.0, 1.0, 1.0, 0.0, 1.0, 0.0) == 0.0
 
     def test_alpha_one_flagged(self):
-        tr = triple_from_cluster(1.0, 1.0, singleton_cluster(0.8))
+        tr = triple_from_cluster(1.0, 1.0, one_mark(0.8))
         assert tr.gamma1_flagged
         assert tr.gamma1 == 0.0
 
@@ -68,11 +72,11 @@ class TestTripleFromCluster:
 
 class TestCharFn:
     def test_at_origin(self):
-        sp = stable_params(triple_from_cluster(0.8, 1.0, singleton_cluster(1.0)))
+        sp = stable_params(triple_from_cluster(0.8, 1.0, one_mark(1.0)))
         assert charfn_stable(0.0, sp) == 1.0 + 0.0j
 
     def test_conjugate_symmetry(self):
-        sp = stable_params(triple_from_cluster(1.2, 1.0, singleton_cluster(0.7)))
+        sp = stable_params(triple_from_cluster(1.2, 1.0, one_mark(0.7)))
         for z in (0.5, 1.0, 3.0):
             assert charfn_stable(-z, sp) == pytest.approx(
                 charfn_stable(z, sp).conjugate()
@@ -87,12 +91,12 @@ class TestCharFn:
 
 class TestLevyExponent:
     def test_zero(self):
-        tr = triple_from_cluster(0.8, 1.0, singleton_cluster(1.0))
+        tr = triple_from_cluster(0.8, 1.0, one_mark(1.0))
         assert levy_exponent(0.0, tr) == 0.0 + 0.0j
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_matches_charfn_on_grid(self, alpha):
-        tr = triple_from_cluster(alpha, 1.0, singleton_cluster(1.0))
+        tr = triple_from_cluster(alpha, 1.0, one_mark(1.0))
         sp = stable_params(tr)
         for z in np.linspace(-5.0, 5.0, 21):
             if z == 0.0:
@@ -114,12 +118,12 @@ class TestLevyExponent:
 
     def test_positive_measure_imaginary_sign(self):
         # one-sided small-alpha law: Im part of the exponent fixed for z > 0
-        tr = triple_from_cluster(0.4, 1.0, singleton_cluster(1.0))
+        tr = triple_from_cluster(0.4, 1.0, one_mark(1.0))
         for z in (0.5, 1.0, 2.0):
             assert levy_exponent(z, tr).imag > 0.0
 
     def test_alpha_one_calibrated(self):
-        tr = triple_from_cluster(1.0, 1.0, singleton_cluster(0.8))
+        tr = triple_from_cluster(1.0, 1.0, one_mark(0.8))
         sp = stable_params(tr)
         for z in (-2.0, -0.5, 0.5, 2.0):
             lhs = cmath.exp(levy_exponent(z, tr))
@@ -129,11 +133,11 @@ class TestLevyExponent:
 
 class TestStableParams:
     def test_symmetric_beta_zero(self):
-        tr = triple_from_cluster(0.8, 1.0, singleton_cluster(0.5))
+        tr = triple_from_cluster(0.8, 1.0, one_mark(0.5))
         assert stable_params(tr).beta == pytest.approx(0.0)
 
     def test_one_sided_beta_one(self):
-        tr = triple_from_cluster(0.8, 1.0, singleton_cluster(1.0))
+        tr = triple_from_cluster(0.8, 1.0, one_mark(1.0))
         assert stable_params(tr).beta == 1.0
 
     def test_degenerate_rejected(self):
@@ -144,7 +148,7 @@ class TestStableParams:
             stable_params(tr)
 
     def test_strictly_stable_below_one(self):
-        tr = triple_from_cluster(0.8, 1.0, singleton_cluster(0.7))
+        tr = triple_from_cluster(0.8, 1.0, one_mark(0.7))
         assert stable_params(tr).tau == pytest.approx(0.0, abs=1e-14)
 
 
@@ -187,10 +191,10 @@ class TestCms:
 class TestSeries:
     def test_l2_path_nondecreasing_always(self):
         for alpha in (0.5, 0.8, 1.2, 1.5):
-            tr = triple_from_cluster(alpha, 1.0, singleton_cluster(0.6))
+            tr = triple_from_cluster(alpha, 1.0, one_mark(0.6))
             for seed in range(5):
                 pair, meta = simulate_levy_pair(
-                    tr, singleton_cluster(0.6), n_pts=1200, seed=seed
+                    tr, one_mark(0.6), n_pts=1200, seed=seed
                 )
                 assert np.all(np.diff(pair.l2.values[:, 0]) >= -1e-15)
 
@@ -203,16 +207,16 @@ class TestSeries:
         assert set(np.flatnonzero(s.jump1)) <= set(np.flatnonzero(s.jump2))
 
     def test_npts_floor(self):
-        tr = triple_from_cluster(0.8, 1.0, singleton_cluster(1.0))
+        tr = triple_from_cluster(0.8, 1.0, one_mark(1.0))
         with pytest.raises(StableError):
-            levy_marginal_draws(tr, singleton_cluster(1.0), [1.0], 10, n_pts=100)
+            levy_marginal_draws(tr, one_mark(1.0), [1.0], 10, n_pts=100)
 
     def test_clustered_draws_hold_no_mark_array(self):
         # one sign per point: a width-2 cluster peaks where the singleton does
         lin = LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=0.5))
         peaks = []
         for cl, theta in [
-            (singleton_cluster(0.5), 1.0),
+            (one_mark(0.5), 1.0),
             (linear_cluster_law(lin), linear_extremal_index(lin)),
         ]:
             tr = triple_from_cluster(0.8, theta, cl)
@@ -225,13 +229,13 @@ class TestSeries:
         assert peaks[1] <= peaks[0] + 2**20
 
     def test_tail_sd_gate_for_heavy_truncation(self):
-        tr = triple_from_cluster(1.9, 1.0, singleton_cluster(1.0))
+        tr = triple_from_cluster(1.9, 1.0, one_mark(1.0))
         with pytest.raises(StableError, match="increase n_pts"):
-            levy_marginal_draws(tr, singleton_cluster(1.0), [1.0], 5, n_pts=1000)
+            levy_marginal_draws(tr, one_mark(1.0), [1.0], 5, n_pts=1000)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.2, 1.5])
     def test_series_vs_cms(self, alpha):
-        cl = singleton_cluster(1.0)
+        cl = one_mark(1.0)
         tr = triple_from_cluster(alpha, 1.0, cl)
         sp = stable_params(tr)
         d = levy_marginal_draws(tr, cl, [1.0], 2000, n_pts=2000, seed=11)
@@ -239,15 +243,15 @@ class TestSeries:
         assert ks_2samp(d["l1"][:, 0], cms).statistic < 0.06
 
     def test_l2_total_matches_half_index_law(self):
-        tr = triple_from_cluster(0.5, 1.0, singleton_cluster(1.0))
-        d = levy_marginal_draws(tr, singleton_cluster(1.0), [1.0], 2000, 2000, seed=15)
+        tr = triple_from_cluster(0.5, 1.0, one_mark(1.0))
+        d = levy_marginal_draws(tr, one_mark(1.0), [1.0], 2000, 2000, seed=15)
         sp2 = stable_params(tr.l2_triple())
         cms2 = cms_sampler(sp2, 2000, seed=16)
         assert ks_2samp(d["l2_total"], cms2).statistic < 0.06
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_self_similarity(self, alpha):
-        cl = singleton_cluster(1.0)
+        cl = one_mark(1.0)
         tr = triple_from_cluster(alpha, 1.0, cl)
         sp = stable_params(tr)
         s = 0.5
@@ -259,7 +263,7 @@ class TestSeries:
 
     def test_cluster_clusters_share_poisson_points(self):
         # one draw: l1_total and l2_total come from the same realization
-        cl = singleton_cluster(1.0)
+        cl = one_mark(1.0)
         tr = triple_from_cluster(0.8, 1.0, cl)
         pair, meta = simulate_levy_pair(tr, cl, n_pts=1500, seed=3)
         assert meta["l1_total"] == pytest.approx(pair.l1.values[-1, 0], rel=1e-9)

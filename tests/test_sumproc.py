@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from m1lab.lab import _partial_sum_marginals
-from m1lab.models import IidSpec, RegVarSpec, an_theoretical
+from m1lab.models import LinearSpec, RegVarSpec, an_theoretical
 from m1lab.paths import eval_path
 from m1lab.sumproc import (
     CenteringConstants,
@@ -22,12 +22,12 @@ from m1lab.tailstats import BlockingScheme
 
 class TestCentering:
     def test_zero_below_one(self):
-        cc = centering_constants(IidSpec(RegVarSpec(0.8, p=1.0)), 100.0, 100)
+        cc = centering_constants(LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)), 100.0, 100)
         assert cc.b1n == 0.0 and cc.b2n == 0.0
         assert cc.regime == "(0,1)"
 
     def test_closed_form_alpha_15(self):
-        spec = IidSpec(RegVarSpec(1.5, p=1.0))
+        spec = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0))
         n = 10**4
         a_n = an_theoretical(spec, n)
         cc = centering_constants(spec, a_n, n)
@@ -36,24 +36,39 @@ class TestCentering:
         assert cc.regime == "[1,2)"
 
     def test_symmetric_first_moment_vanishes(self):
-        spec = IidSpec(RegVarSpec(1.5, p=0.5))
+        spec = LinearSpec((1.0,), RegVarSpec(1.5, p=0.5))
         cc = centering_constants(spec, 100.0, 10**4)
         assert cc.b1n == 0.0
         assert cc.b2n > 0.0
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_order_zero_takes_closed_form(self, p):
+        # the i.i.d. model is the order-0 moving average: exact, se 0
+        spec = LinearSpec((1.0,), RegVarSpec(1.5, p=p))
+        n = 10**4
+        a_n = an_theoretical(spec, n)
+        cc = centering_constants(spec, a_n, n, mc_size=10**4)
+        m1 = (1.5 / 0.5) * (1.0 - a_n ** (-0.5))
+        assert cc.b1n == pytest.approx((2.0 * p - 1.0) * m1 / a_n, rel=1e-12, abs=1e-15)
+        assert cc.b2n == pytest.approx(3.0 * (a_n**0.5 - 1.0) / a_n**2, rel=1e-12)
+        assert (cc.se_b1n, cc.se_b2n) == (0.0, 0.0)
+        # a longer moving average at unit scale still takes Monte Carlo
+        ma1 = LinearSpec((1.0, 0.5), RegVarSpec(1.5, p=p))
+        assert centering_constants(ma1, a_n, n, mc_size=10**4).se_b2n > 0.0
+
     def test_monte_carlo_branch_matches_closed_form(self):
         # scaled marginal falls back to Monte Carlo; compare on the canonical
-        spec = IidSpec(RegVarSpec(1.5, p=1.0))
+        spec = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0))
         n = 10**4
         a_n = an_theoretical(spec, n)
         exact = centering_constants(spec, a_n, n)
-        scaled = IidSpec(RegVarSpec(1.5, p=1.0, scale=1.0 + 1e-12))
+        scaled = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0, scale=1.0 + 1e-12))
         mc = centering_constants(scaled, a_n, n, mc_size=2 * 10**5, seed=1)
         assert mc.b1n == pytest.approx(exact.b1n, rel=0.05)
         assert mc.se_b1n > 0.0
 
     def test_monte_carlo_se_gate(self):
-        scaled = IidSpec(RegVarSpec(1.5, p=1.0, scale=1.0 + 1e-12))
+        scaled = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0, scale=1.0 + 1e-12))
         with pytest.raises(SumProcessError, match="increase mc_size"):
             centering_constants(scaled, 100.0, 10**4, mc_size=10**4, se_tol=1e-12)
 
@@ -76,7 +91,7 @@ class TestBuildLn:
 
     def test_centered_symmetric_mean_near_zero(self):
         # the lab's centered partial sums, at the final grid time
-        spec = IidSpec(RegVarSpec(1.5, p=0.5))
+        spec = LinearSpec((1.0,), RegVarSpec(1.5, p=0.5))
         rep1 = _partial_sum_marginals(spec, 500, [1.0], 1000, 17, centered=True)[0]
         finals = rep1[:, -1]
         se = finals.std(ddof=1) / math.sqrt(finals.size)
@@ -153,7 +168,7 @@ class TestCollapse:
 
     def test_collapse_tames_m1_not_j1(self):
         # clustered model: collapsed path is M1-close but J1-far
-        from m1lab.models import LinearSpec, sample_linear
+        from m1lab.models import sample_linear
         from m1lab.paths import j1_distance, m1_distance
 
         lin = LinearSpec((1.0, 1.0), RegVarSpec(0.8, p=1.0))

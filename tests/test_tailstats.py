@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from m1lab.models import (
-    IidSpec,
     LinearSpec,
     RegVarSpec,
     an_theoretical,
     derive_seed,
-    sample_iid,
     sample_linear,
 )
 from m1lab.tailstats import (
@@ -25,19 +23,19 @@ from m1lab.tailstats import (
 
 class TestHill:
     def test_exact_pareto_alpha_one(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0, p=1.0)), 10**6, seed=5)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0, p=1.0)), 10**6, seed=5)
         assert hill_alpha(s.values, 10**4) == pytest.approx(1.0, abs=0.05)
 
     def test_exact_pareto_alpha_half(self):
-        s = sample_iid(IidSpec(RegVarSpec(0.5, p=1.0)), 10**6, seed=6)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(0.5, p=1.0)), 10**6, seed=6)
         assert hill_alpha(s.values, 10**4) == pytest.approx(0.5, abs=0.03)
 
     def test_scale_invariance_exact_for_pow2(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0)), 10**4, seed=7)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0)), 10**4, seed=7)
         assert hill_alpha(8.0 * s.values, 500) == hill_alpha(s.values, 500)
 
     def test_scale_invariance_near_exact_generally(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0)), 10**4, seed=7)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0)), 10**4, seed=7)
         assert hill_alpha(10.0 * s.values, 500) == pytest.approx(
             hill_alpha(s.values, 500), rel=1e-12
         )
@@ -55,10 +53,10 @@ class TestHill:
 
 class TestNorming:
     def test_empirical_matches_theoretical_on_pool(self):
-        spec = IidSpec(RegVarSpec(1.0, p=1.0))
+        spec = LinearSpec((1.0,), RegVarSpec(1.0, p=1.0))
         n = 10**4
         pooled = np.concatenate(
-            [sample_iid(spec, n, derive_seed(55, r)).values for r in range(200)]
+            [sample_linear(spec, n, derive_seed(55, r)).values for r in range(200)]
         )
         assert an_empirical(pooled, n) == pytest.approx(
             an_theoretical(spec, n), rel=0.15
@@ -74,7 +72,7 @@ class TestBlocksEstimator:
         n = 10**5
         vals = []
         for rep in range(50):
-            s = sample_iid(IidSpec(RegVarSpec(1.0, p=1.0)), n, derive_seed(9, rep))
+            s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0, p=1.0)), n, derive_seed(9, rep))
             u = np.quantile(np.abs(s.values), 1.0 - 25.0 / n)
             vals.append(
                 extremal_index_blocks(s.values, BlockingScheme.from_exponent(n), u)
@@ -100,7 +98,7 @@ class TestBlocksEstimator:
             extremal_index_blocks(np.ones(100), BlockingScheme(10), 5.0)
 
     def test_scale_invariance_pow2(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0)), 10**4, seed=3)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0)), 10**4, seed=3)
         u = np.quantile(np.abs(s.values), 0.99)
         sch = BlockingScheme.from_exponent(10**4)
         assert extremal_index_blocks(4.0 * s.values, sch, 4.0 * u) == (
@@ -112,12 +110,12 @@ class TestAnticluster:
     def test_iid_matches_independence_form(self):
         n = 10**5
         u = 0.05  # threshold u * a_n; exceedance probability u^{-1}/n exactly
-        spec = IidSpec(RegVarSpec(1.0, p=1.0))
+        spec = LinearSpec((1.0,), RegVarSpec(1.0, p=1.0))
         scheme = BlockingScheme.from_exponent(n)
         a_n = an_theoretical(spec, n)
         curves = []
         for rep in range(30):
-            s = sample_iid(spec, n, derive_seed(31, rep))
+            s = sample_linear(spec, n, derive_seed(31, rep))
             curve = anticluster_diagnostic(s.values, scheme, u * a_n, [1, 5, 20])
             curves.append([curve[m] for m in (1, 5, 20)])
         mean_curve = np.mean(curves, axis=0)
@@ -139,7 +137,7 @@ class TestAnticluster:
 
     def test_empty_window_at_rn(self):
         n = 10**4
-        s = sample_iid(IidSpec(RegVarSpec(1.0)), n, seed=8)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0)), n, seed=8)
         scheme = BlockingScheme.from_exponent(n)
         curve = anticluster_diagnostic(
             s.values, scheme, np.quantile(np.abs(s.values), 0.99), [scheme.r_n]
@@ -235,7 +233,7 @@ class TestAnticlusterAgainstLoop:
 
 class TestSignSwitch:
     def test_all_positive_no_violations(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0, p=1.0)), 10**4, seed=2)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0, p=1.0)), 10**4, seed=2)
         scheme = BlockingScheme.from_exponent(10**4)
         u = np.quantile(np.abs(s.values), 0.99)
         assert sign_switch_diagnostic(s.values, scheme, u) == 0
@@ -248,7 +246,7 @@ class TestSignSwitch:
         assert sign_switch_diagnostic(s.values, scheme, u) > 0
 
     def test_symmetric_iid_rarely_violates(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0, p=0.5)), 10**5, seed=6)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0, p=0.5)), 10**5, seed=6)
         scheme = BlockingScheme.from_exponent(10**5)
         u = np.quantile(np.abs(s.values), 1.0 - 20.0 / 10**5)
         # with ~20 exceedances in ~316 blocks, collisions are rare
@@ -257,7 +255,7 @@ class TestSignSwitch:
 
 class TestDiagnosticsBundle:
     def test_jsonl_fields(self):
-        s = sample_iid(IidSpec(RegVarSpec(1.0, p=1.0)), 10**4, seed=61)
+        s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0, p=1.0)), 10**4, seed=61)
         diag = diagnose(s.values, BlockingScheme.from_exponent(10**4))
         recs = diag.jsonl_records(replicate=3)
         names = {r["diagnostic"] for r in recs}
