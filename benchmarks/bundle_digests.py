@@ -6,7 +6,9 @@ Run:  PYTHONPATH=src python3 benchmarks/bundle_digests.py [--full]
 Configs: those of ``bench_suite.py``, plus its ``SUITE_CFG`` with
 ``model.variant=linear``, with ``model.alpha=1.5``, with both, and with
 ``model.alpha=1.5`` on the order-0 linear model (``model.coeffs=1.0``),
-which must print the lines of the ``model.alpha=1.5`` config; ``--full``
+which must print the lines of the ``model.alpha=1.5`` config, with
+``model.p=1.0``, with ``model.p=0.7`` at ``model.alpha=1.5``, and with the
+order-0 model ``model.coeffs=2.0`` at ``model.alpha=1.5``; ``--full``
 adds the default config (about 40 s).  Each config runs
 ``lab.run_full_suite`` once into a temporary directory, and the script
 prints one ``config file sha256`` line for report.jsonl, manifest.json and
@@ -43,6 +45,13 @@ VARIANTS = [
     # determinism-alpha15, so its three lines equal that config's
     ("determinism-ma0-alpha15", SUITE_CFG,
      ["model.variant=linear", "model.coeffs=1.0", "model.alpha=1.5"]),
+    # lopsided signs: all mass on the positive tail, then b1n != 0 and a
+    # mark drift with p != q at alpha >= 1
+    ("determinism-p1", SUITE_CFG, ["model.p=1.0"]),
+    ("determinism-p07-alpha15", SUITE_CFG, ["model.p=0.7", "model.alpha=1.5"]),
+    # a scaled order-0 model, centered by the closed form
+    ("determinism-ma0c2-alpha15", SUITE_CFG,
+     ["model.variant=linear", "model.coeffs=2.0", "model.alpha=1.5"]),
 ]
 
 

@@ -14,6 +14,7 @@ variable SEED (seed only) > built-in defaults.
 """
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -34,9 +35,12 @@ class ConfigError(ValueError):
 
 def _as_float(raw, key, line):
     try:
-        return float(raw)
+        x = float(raw)
     except ValueError:
         raise ConfigError(f"line {line}: key '{key}': malformed number {raw!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"line {line}: key '{key}': non-finite number {raw!r}")
+    return x
 
 
 def _as_int(raw, key, line):
@@ -154,7 +158,7 @@ class ExperimentConfig:
             raise ConfigError("key 'run.theta_exceedances': must lie in (0, run.theta_n)")
         if self.n_pts < MIN_SERIES_POINTS:
             raise ConfigError(f"key 'run.n_pts': {self.n_pts} below the floor {MIN_SERIES_POINTS}")
-        if any(t < 0.0 or t > 1.0 for t in self.t_grid) or 1.0 not in self.t_grid:
+        if not all(0.0 <= t <= 1.0 for t in self.t_grid) or 1.0 not in self.t_grid:
             raise ConfigError("key 'run.t_grid': times must lie in [0,1] and include 1")
         if not 0.0 < self.kappa < 1.0:
             raise ConfigError(f"key 'run.kappa': {self.kappa} outside the valid range (0,1)")
@@ -222,7 +226,6 @@ def _build_model(values):
             raise ConfigError(f"key 'model.alpha': {alpha} outside the valid range (0,2)")
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"key 'model.p': {p} outside [0,1]")
-    if variant in ("iid", "linear"):
         # iid is the moving average of order 0 and ignores model.coeffs
         coeffs = (1.0,) if variant == "iid" else values[("model", "coeffs")]
         try:

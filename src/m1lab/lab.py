@@ -8,11 +8,12 @@ analytic truncated-moment limits and the small-jump tail bound.  That
 decomposition statement is written into every report header.
 
 Every check consumes an :class:`~m1lab.config.ExperimentConfig`; verdict
-thresholds come exclusively from the config's tolerances.  Replicate r of
-a check draws at derive_seed(stream_seed(config.seed, tag), r), where the
-tag names the check (and sample size), so results do not depend on
-scheduling or worker count.  fidi and selfnorm read one pass of replicates
-(tags selfnorm-n{n}) and limit draws (levy-selfnorm), see _marginal_pass.
+thresholds come exclusively from the config's tolerances.  A check's
+replicates are ``models.replicate_samples(spec, n, stream_seed(config.seed,
+tag), count)``, where the tag names the check (and sample size), so results
+do not depend on scheduling or worker count.  fidi and selfnorm read one
+pass of replicates (tags selfnorm-n{n}) and limit draws (levy-selfnorm),
+see _marginal_pass.
 
 The checks that need theoretical norming or an analytic cluster law take
 the moving-average family ``LinearSpec``; the iid model is its order 0,
@@ -20,11 +21,11 @@ the moving-average family ``LinearSpec``; the iid model is its order 0,
 more than one coefficient.
 """
 
-import hashlib
+import functools
 import json
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +35,14 @@ from .models import (
     LinearSpec,
     RegVarSpec,
     an_theoretical,
-    derive_seed,
     model_alpha,
     model_cluster_law,
     model_extremal_index,
     model_positive_weight,
+    replicate_samples,
     sample_model,
+    seeded_rng,
+    stream_seed,
 )
 from .paths import j1_distance, m1_distance_detailed
 from .sumproc import (
@@ -61,12 +64,6 @@ REPORT_HEADER = (
 
 class LabError(ValueError):
     pass
-
-
-def stream_seed(base, tag):
-    """Independent deterministic seed stream for a named purpose."""
-    h = hashlib.blake2s(tag.encode(), digest_size=8).digest()
-    return (int(base) ^ int.from_bytes(h, "little")) & 0xFFFFFFFFFFFFFFFF
 
 
 def ks_2samp(a, b):
@@ -140,15 +137,15 @@ def _analytic_setup(config):
 def _partial_sum_marginals(spec, n, t_grid, replicates, base_seed, centered):
     """Replicate values at grid times k = floor(n t) of S_k, Q_k (sums of
     x/a_n and its square, less k b1n and k b2n when ``centered``) and
-    S_k / sqrt(uncentered Q_n), with a_n; replicate r draws at
-    derive_seed(base_seed, r)."""
+    S_k / sqrt(uncentered Q_n), with a_n; the replicates are those of
+    ``replicate_samples(spec, n, base_seed, replicates)``."""
     a_n = an_theoretical(spec, n)
     idx = grid_index(n, t_grid)
     s1 = np.empty((replicates, idx.size))
     s2 = np.empty((replicates, idx.size))
     v2 = np.empty(replicates)
-    for rep in range(replicates):
-        y = sample_model(spec, n, derive_seed(base_seed, rep)).values / a_n
+    for rep, x in enumerate(replicate_samples(spec, n, base_seed, replicates)):
+        y = x / a_n
         s1[rep] = np.concatenate([[0.0], np.cumsum(y)])[idx]
         c2 = np.concatenate([[0.0], np.cumsum(np.square(y, out=y))])
         s2[rep] = c2[idx]
@@ -280,10 +277,9 @@ def run_j1_vs_m1_contrast(config):
         resolution = max(config.m1_resolution, 4 * n + 16)
         m1s = []
         j1s = []
-        for rep in range(config.contrast_replicates):
-            x = sample_model(spec, n, derive_seed(base, rep)).values
-            pair = build_Ln(x, a_n)
-            path = pair.l1
+        samples = replicate_samples(spec, n, base, config.contrast_replicates)
+        for rep, x in enumerate(samples):
+            path = build_Ln(x, a_n).l1
             collapsed = collapse_clusters(path, scheme)
             m1d = m1_distance_detailed(path, collapsed, resolution)
             m1 = m1d.value
@@ -380,7 +376,7 @@ def _karamata_alpha_sums(config, alpha):
     m1bench's span tracer wraps (its span stack is shared by all threads),
     so the suite runs it on a background thread beside the other checks.
     """
-    rng = np.random.default_rng(stream_seed(config.seed, f"karamata-{alpha}"))
+    rng = seeded_rng(stream_seed(config.seed, f"karamata-{alpha}"))
     a_n = config.karamata_n ** (1.0 / alpha)
     sums1, sums2 = _karamata_sums(
         rng, alpha, a_n, config.karamata_u_grid, config.karamata_mc
@@ -454,8 +450,7 @@ def run_slutsky_bound_check(config):
     a_n = an_theoretical(spec, n)
     base = stream_seed(config.seed, "slutsky")
     sup_gap = {u: np.empty(reps) for u in config.slutsky_u_grid}
-    for rep in range(reps):
-        x = sample_model(spec, n, derive_seed(base, rep)).values
+    for rep, x in enumerate(replicate_samples(spec, n, base, reps)):
         y = x / a_n
         y2 = y * y
         for u in config.slutsky_u_grid:
@@ -503,14 +498,13 @@ def run_theta_recovery(config):
         ("ma_1_1", LinearSpec((1.0, 1.0), RegVarSpec(1.0, p=1.0)), 0.5),
     ]
     n = config.theta_n
+    scheme = BlockingScheme.from_exponent(n, config.kappa)
     ok = True
     for label, spec, theta_true in specs:
         base = stream_seed(config.seed, f"theta-{label}")
         ests = []
-        for rep in range(config.theta_replicates):
-            x = sample_model(spec, n, derive_seed(base, rep)).values
+        for x in replicate_samples(spec, n, base, config.theta_replicates):
             u = float(np.quantile(np.abs(x), 1.0 - config.theta_exceedances / n))
-            scheme = BlockingScheme.from_exponent(n, config.kappa)
             ests.append(tailstats.extremal_index_blocks(x, scheme, u))
         mean_est = float(np.mean(ests))
         err = abs(mean_est - theta_true)
@@ -584,8 +578,9 @@ def run_full_suite(config, outdir=None):
     contrast, karamata, slutsky, theta, diagnostics.
     ``runtime["karamata"]`` is then the check's wait for the sums and
     ``runtime["karamata_background"]`` the thread's compute time.  fidi and
-    selfnorm share one :func:`_marginal_pass`, computed inside fidi; an
-    error in it marks both not completed.
+    selfnorm share one cached :func:`_marginal_pass`, computed inside fidi;
+    a pass that raises is not cached, so selfnorm recomputes it and records
+    the same error (repeated work, on failure only).
     """
     report = ConvergenceReport(
         header=REPORT_HEADER, config_digest=config.digest(), seed=config.seed
@@ -599,16 +594,7 @@ def run_full_suite(config, outdir=None):
         finally:
             background.append(time.perf_counter() - t0)
 
-    marginal = Future()
-
-    def marginal_pass():
-        # the first check to ask computes the pass; both get its value or error
-        if not marginal.done():
-            try:
-                marginal.set_result(_marginal_pass(config))
-            except Exception as exc:
-                marginal.set_exception(exc)
-        return marginal.result()
+    marginal_pass = functools.cache(functools.partial(_marginal_pass, config))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         karamata = [pool.submit(karamata_sums, alpha) for alpha in config.karamata_alphas]

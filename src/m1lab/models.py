@@ -9,11 +9,13 @@ The analytic family is the finite-order moving average ``LinearSpec``; the
 i.i.d. model is its order 0, ``LinearSpec((1.0,), rv)``, and every
 dispatcher below gives it the i.i.d. values bit for bit.
 
-Generators are pure functions of (spec, n, seed); replicate r of a study
-uses seed XOR r (``derive_seed``), so replications parallelize without any
-shared state.
+Generators are pure functions of (spec, n, seed).  Every seed rule and the
+package's one generator constructor, ``seeded_rng``, live here: a purpose
+draws from ``stream_seed``, replicate r from seed XOR r (``derive_seed``),
+and ``replicate_samples`` yields them lazily; no state is shared.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -40,7 +42,7 @@ class RegVarSpec:
             raise ModelError("tail index alpha must lie in (0,2)")
         if not 0.0 <= self.p <= 1.0:
             raise ModelError("positive-tail weight p must lie in [0,1]")
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise ModelError("scale must be positive")
 
     @property
@@ -82,9 +84,9 @@ class GarchSpec:
     b1: float
 
     def __post_init__(self):
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ModelError("omega must be positive")
-        if self.a1 < 0.0 or self.b1 < 0.0:
+        if not (self.a1 >= 0.0 and self.b1 >= 0.0):
             raise ModelError("a1 and b1 must be nonnegative")
 
 
@@ -103,8 +105,15 @@ class SeriesSample:
     values: np.ndarray
 
 
-def _rng(seed):
-    return np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+def seeded_rng(seed):
+    """The package's one generator: PCG64 at the seed modulo 2^64."""
+    return np.random.default_rng(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+
+
+def stream_seed(base, tag):
+    """Independent deterministic seed stream for a named purpose."""
+    h = hashlib.blake2s(tag.encode(), digest_size=8).digest()
+    return (int(base) ^ int.from_bytes(h, "little")) & 0xFFFFFFFFFFFFFFFF
 
 
 def derive_seed(base, index):
@@ -127,7 +136,7 @@ def sample_linear(spec, n, seed):
     if n < 1:
         raise ModelError("need n >= 1")
     m = spec.order
-    z = _pareto_draws(spec.innovation, n + m, _rng(seed))
+    z = _pareto_draws(spec.innovation, n + m, seeded_rng(seed))
     phi = np.asarray(spec.coeffs)
     # order 0 (the i.i.d. model) scales the draws in place: no second array
     x = np.convolve(z, phi, mode="valid") if m > 0 else np.multiply(z, phi[0], out=z)
@@ -167,7 +176,7 @@ def _garch_path(spec, n, seed, burnin):
         burn = max(1000, int(50.0 / (1.0 - rate)))
     else:
         burn = int(burnin)
-    z = _rng(seed).standard_normal(n + burn)
+    z = seeded_rng(seed).standard_normal(n + burn)
     denom = 1.0 - (spec.a1 + spec.b1)
     s0 = spec.omega / denom if denom > 0.0 else spec.omega
     return kernels.garch_recursion(z, spec.omega, spec.a1, spec.b1, s0, burn)
@@ -301,6 +310,12 @@ def sample_model(spec, n, seed):
     if isinstance(spec, SquaredGarchSpec):
         return sample_squared_garch(spec, n, seed)
     raise ModelError(f"unknown model spec {type(spec).__name__}")
+
+
+def replicate_samples(spec, n, base, count):
+    """Lazily ``sample_model(spec, n, derive_seed(base, r)).values``, r < count."""
+    for r in range(count):
+        yield sample_model(spec, n, derive_seed(base, r)).values
 
 
 def an_theoretical(spec, n):

@@ -64,9 +64,9 @@ class CadlagPath:
             raise DimensionError("paths carry 1 or 2 coordinates")
         if t[0] != 0.0:
             raise PathError("first breakpoint must be t=0")
-        if t[-1] > 1.0 or np.any(t < 0.0):
+        if not (t[-1] <= 1.0 and np.all(t >= 0.0)):
             raise PathError("breakpoints must lie in [0,1]")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
+        if not np.all(np.diff(t) > 0.0):
             raise PathError("breakpoint times must be strictly increasing")
         if not np.all(np.isfinite(v)):
             raise PathError("path values must be finite")

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .models import seeded_rng
 from .paths import STEP, CadlagPath
 from .sumproc import JointPathPair
 
@@ -274,7 +275,7 @@ def cms_sampler(params, m, seed):
     the standard one/two-branch recipe, then rescales to (c, beta, tau).
     Serves as the oracle route independent of the Poisson series.
     """
-    rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    rng = seeded_rng(seed)
     a, beta, c, tau = params.alpha, params.beta, params.c, params.tau
     v = (rng.random(m) - 0.5) * math.pi
     w = rng.exponential(size=m)
@@ -329,7 +330,7 @@ def _levy_series(triple, cluster, batch, n_pts, seed):
     a = triple.alpha
     theta = triple.theta
     eta = cluster.shape
-    rng = np.random.default_rng(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    rng = seeded_rng(seed)
     # The mean measure of nu(dy) = theta*alpha*y^{-alpha-1} dy on (y, inf)
     # is theta * y^{-alpha}; pushing unit-rate Poisson arrivals Gamma_i
     # through its inverse y = (Gamma_i / theta)^{-1/alpha} therefore yields

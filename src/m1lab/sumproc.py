@@ -22,19 +22,17 @@ class SumProcessError(ValueError):
     pass
 
 
+CENTERING_MC_SIZE = 10**6
+
+
 @dataclass(frozen=True)
 class CenteringConstants:
-    """Truncated-mean centerings b1n, b2n; zero in the alpha < 1 regime."""
+    """Truncated-mean centerings b1n, b2n and their Monte Carlo errors."""
 
     b1n: float
     b2n: float
-    alpha: float
     se_b1n: float = 0.0
     se_b2n: float = 0.0
-
-    @property
-    def regime(self):
-        return "(0,1)" if self.alpha < 1.0 else "[1,2)"
 
 
 @dataclass(frozen=True)
@@ -60,38 +58,35 @@ def _pareto_truncated_abs_moment(alpha, power, upper):
     return alpha / expo * (upper**expo - 1.0)
 
 
-def centering_constants(spec, a_n, n, mc_size=10**6, seed=0, se_tol=None):
+def centering_constants(spec, a_n, n):
     """b1n = E[(X/a_n) 1{|X|/a_n <= 1}], b2n = E[(X^2/a_n^2) 1{X^2/a_n^2 <= 1}].
 
-    Zero in the alpha < 1 regime.  Closed-form Pareto integrals for the
-    canonical i.i.d. spec (order-0 moving average, unit scale); Monte Carlo
-    with reported standard errors otherwise.
+    Zero in the alpha < 1 regime.  An order-0 moving average X = c Z, with
+    c = coeffs[0] * scale and Z the unit Pareto, takes closed-form Pareto
+    integrals at the level a_n/|c|; every other model a Monte Carlo estimate
+    over ``CENTERING_MC_SIZE`` draws at seed 0, with its standard errors.
     """
     alpha = model_alpha(spec)
     if alpha < 1.0:
-        return CenteringConstants(0.0, 0.0, alpha)
-    if isinstance(spec, LinearSpec) and spec.coeffs == (1.0,) and spec.innovation.scale == 1.0:
+        return CenteringConstants(0.0, 0.0)
+    if isinstance(spec, LinearSpec) and spec.order == 0:
         rv = spec.innovation
-        m1 = _pareto_truncated_abs_moment(alpha, 1.0, a_n)
-        m2 = _pareto_truncated_abs_moment(alpha, 2.0, a_n)
-        b1n = (rv.p - rv.q) * m1 / a_n
-        b2n = m2 / (a_n * a_n)
-        return CenteringConstants(b1n, b2n, alpha)
-    sample = sample_model(spec, mc_size, seed).values
+        c = spec.coeffs[0] * rv.scale
+        m1 = _pareto_truncated_abs_moment(alpha, 1.0, a_n / abs(c))
+        m2 = _pareto_truncated_abs_moment(alpha, 2.0, a_n / abs(c))
+        b1n = c * (rv.p - rv.q) * m1 / a_n
+        b2n = c * c * m2 / (a_n * a_n)
+        return CenteringConstants(b1n, b2n)
+    sample = sample_model(spec, CENTERING_MC_SIZE, 0).values
     y = sample / a_n
     t1 = np.where(np.abs(y) <= 1.0, y, 0.0)
     y2 = y * y
     t2 = np.where(y2 <= 1.0, y2, 0.0)
     b1n = float(t1.mean())
     b2n = float(t2.mean())
-    se1 = float(t1.std(ddof=1) / np.sqrt(mc_size))
-    se2 = float(t2.std(ddof=1) / np.sqrt(mc_size))
-    if se_tol is not None and max(se1, se2) > se_tol:
-        raise SumProcessError(
-            f"Monte Carlo centering too noisy (se={max(se1, se2):.3g} > {se_tol:.3g}); "
-            "increase mc_size"
-        )
-    return CenteringConstants(b1n, b2n, alpha, se1, se2)
+    se1 = float(t1.std(ddof=1) / np.sqrt(CENTERING_MC_SIZE))
+    se2 = float(t2.std(ddof=1) / np.sqrt(CENTERING_MC_SIZE))
+    return CenteringConstants(b1n, b2n, se1, se2)
 
 
 def build_Ln(data, a_n):

@@ -140,6 +140,10 @@ class TestM1DistCmd:
         "resolution_zero": (STEP_A, "# kind=step d=1\n0,0\n0.5,1\n", ["--resolution", "0"], 2),
         "resolution_negative": (PL_A, "# kind=pl d=1\n0,0\n0.5,0.8\n1,1\n", ["--resolution", "-4"], 2),
         "mismatched_d": (STEP_A, "# kind=step d=2\n0,0,1\n0.5,1,1\n", [], 2),
+        # NaN fails every comparison, so the range and order checks must not
+        # be written as "x < lo or x > hi"
+        "nan_time": (STEP_A, "# kind=step d=1\n0,0\nnan,1\n1,0\n", [], 2),
+        "nan_last_time": (STEP_A, "# kind=step d=1\n0,0\n0.5,1\nnan,0\n", [], 2),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
@@ -203,6 +207,15 @@ class TestModelExitCodes:
             ["--out", "{tmp}/no_such_dir/x.csv"], 3, "error: cannot write output: "
         ),
         "removed_run_u": (["--set", "run.u=0.1"], 2, "config error: override #1: "),
+        # a non-finite number is refused when the config is parsed
+        "nan_coeffs": (["--set", "model.variant=linear", "--set", "model.coeffs=nan, 1"], 2,
+                       "config error: line 0: key 'model.coeffs': non-finite number 'nan'"),
+        "inf_coeffs": (["--set", "model.variant=linear", "--set", "model.coeffs=inf, 1"], 2,
+                       "config error: line 0: key 'model.coeffs': non-finite number 'inf'"),
+        "nan_a1": (GARCH + ["--set", "model.a1=nan"], 2, "config error: line 0: key 'model.a1'"),
+        "nan_omega": (GARCH + ["--set", "model.omega=nan"], 2,
+                      "config error: line 0: key 'model.omega'"),
+        "nan_b1": (GARCH + ["--set", "model.b1=-nan"], 2, "config error: line 0: key 'model.b1'"),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
@@ -324,6 +337,16 @@ class TestConvergeExitCodes:
                                  KEY + "slutsky_eps_grid'"),
         "slutsky_u_negative": ("slutsky", ["run.slutsky_u_grid=-0.1"], 2,
                                KEY + "slutsky_u_grid'"),
+        # a non-finite number is refused when the config is parsed
+        "t_grid_nan": ("fidi", ["run.t_grid=nan, 1"], 2,
+                       "config error: line 0: key 'run.t_grid': non-finite number 'nan'"),
+        "coeffs_nan_contrast": ("contrast", ["model.variant=linear", "model.coeffs=nan, 1"],
+                                2, "config error: line 0: key 'model.coeffs'"),
+        "kappa_inf": ("theta", ["run.kappa=inf"], 2, "config error: line 0: key 'run.kappa'"),
+        "tolerance_nan": ("fidi", ["tolerances.ks_fidi=nan"], 2,
+                          "config error: line 0: key 'tolerances.ks_fidi'"),
+        "tolerance_negative_inf": ("slutsky", ["tolerances.theta_abs=-inf"], 2,
+                                   "config error: line 0: key 'tolerances.theta_abs'"),
         # refusals found while a check runs
         "contrast_garch": ("contrast", ["model.variant=garch"], 2,
                            "error: the contrast check needs theoretical norming"),

@@ -21,11 +21,14 @@ from m1lab.models import (
     model_cluster_law,
     model_extremal_index,
     model_positive_weight,
+    replicate_samples,
     sample_garch,
     sample_linear,
     sample_model,
     sample_squared_garch,
+    seeded_rng,
     solve_garch_alpha,
+    stream_seed,
 )
 from m1lab.stable import _levy_series, triple_from_cluster
 from m1lab.tailstats import BlockingScheme, hill_alpha, sign_switch_diagnostic
@@ -40,6 +43,17 @@ class TestRegVarSpec:
 
     def test_q_complement(self):
         assert RegVarSpec(1.0, p=0.3).q == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RegVarSpec(1.0, scale=math.nan),
+        lambda: GarchSpec(math.nan, 0.5, 0.3),
+        lambda: GarchSpec(1.0, math.nan, 0.3),
+        lambda: GarchSpec(1.0, 0.5, math.nan),
+    ])
+    def test_nan_parameters_refused(self, build):
+        # NaN fails every comparison, so each check asks for the valid range
+        with pytest.raises(ModelError):
+            build()
 
 
 class TestIid:
@@ -311,6 +325,46 @@ class TestInvariants:
 
     def test_seed_derivation_is_xor(self):
         assert derive_seed(0b1010, 0b0110) == 0b1100
+
+
+class TestRandomness:
+    """models holds the seed rules, the one generator constructor and the
+    replicate draws of every loop."""
+
+    SEEDS = [0, 13, 2**63 + 5, 2**64 - 1, 20240503]
+
+    @pytest.mark.parametrize("seed", SEEDS + [-20240503])
+    def test_generator_is_pcg64_at_seed_mod_2_64(self, seed):
+        want = np.random.default_rng(np.uint64(seed % 2**64)).random(64)
+        assert np.array_equal(seeded_rng(seed).random(64), want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_python_int_seed_gives_same_stream(self, seed):
+        # the Karamata sums once seeded numpy with the plain int
+        want = np.random.default_rng(seed).random(64)
+        assert np.array_equal(seeded_rng(seed).random(64), want)
+
+    def test_stream_seed_is_64_bit_and_tagged(self):
+        assert stream_seed(7, "a") != stream_seed(7, "b")
+        assert stream_seed(-1, "a") == stream_seed(2**64 - 1, "a")
+        assert 0 <= stream_seed(-1, "a") < 2**64
+
+    def test_is_lazy(self):
+        gen = replicate_samples(LinearSpec((1.0,), RegVarSpec(0.8)), 10, 5, 3)
+        assert iter(gen) is gen
+        assert len(list(gen)) == 3
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.5)])
+    def test_replicates_equal_derived_seed_samples(self, coeffs, alpha, count):
+        spec = LinearSpec(coeffs, RegVarSpec(alpha, p=0.5))
+        base = stream_seed(13, "selfnorm-n100")
+        got = list(replicate_samples(spec, 100, base, count))
+        assert len(got) == count
+        for r, x in enumerate(got):
+            want = sample_model(spec, 100, derive_seed(base, r)).values
+            assert x.tobytes() == want.tobytes()
 
 
 class TestNorming:

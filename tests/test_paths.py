@@ -54,6 +54,12 @@ class TestConstruction:
         with pytest.raises(PathError):
             CadlagPath([0.0, 0.5, 0.5], [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [np.nan],
+                                       [0.0, np.nan]])
+    def test_nan_time(self, times):
+        with pytest.raises(PathError):
+            CadlagPath(times, np.zeros(len(times)))
+
     def test_finite_values(self):
         with pytest.raises(PathError):
             CadlagPath([0.0], [np.inf])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from m1lab.lab import _partial_sum_marginals
-from m1lab.models import LinearSpec, RegVarSpec, an_theoretical
+from m1lab.models import LinearSpec, RegVarSpec, an_theoretical, sample_model
 from m1lab.paths import eval_path
 from m1lab.sumproc import (
     CenteringConstants,
@@ -24,7 +24,6 @@ class TestCentering:
     def test_zero_below_one(self):
         cc = centering_constants(LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)), 100.0, 100)
         assert cc.b1n == 0.0 and cc.b2n == 0.0
-        assert cc.regime == "(0,1)"
 
     def test_closed_form_alpha_15(self):
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0))
@@ -33,7 +32,6 @@ class TestCentering:
         cc = centering_constants(spec, a_n, n)
         want = (1.5 / 0.5) * (1.0 - a_n ** (-0.5)) / a_n
         assert cc.b1n == pytest.approx(want, rel=1e-12)
-        assert cc.regime == "[1,2)"
 
     def test_symmetric_first_moment_vanishes(self):
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=0.5))
@@ -47,30 +45,52 @@ class TestCentering:
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=p))
         n = 10**4
         a_n = an_theoretical(spec, n)
-        cc = centering_constants(spec, a_n, n, mc_size=10**4)
+        cc = centering_constants(spec, a_n, n)
         m1 = (1.5 / 0.5) * (1.0 - a_n ** (-0.5))
         assert cc.b1n == pytest.approx((2.0 * p - 1.0) * m1 / a_n, rel=1e-12, abs=1e-15)
         assert cc.b2n == pytest.approx(3.0 * (a_n**0.5 - 1.0) / a_n**2, rel=1e-12)
         assert (cc.se_b1n, cc.se_b2n) == (0.0, 0.0)
         # a longer moving average at unit scale still takes Monte Carlo
         ma1 = LinearSpec((1.0, 0.5), RegVarSpec(1.5, p=p))
-        assert centering_constants(ma1, a_n, n, mc_size=10**4).se_b2n > 0.0
+        assert centering_constants(ma1, a_n, n).se_b2n > 0.0
 
     def test_monte_carlo_branch_matches_closed_form(self):
-        # scaled marginal falls back to Monte Carlo; compare on the canonical
+        # the order-1 model (1, 0) has the i.i.d. law but takes Monte Carlo
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0))
         n = 10**4
         a_n = an_theoretical(spec, n)
         exact = centering_constants(spec, a_n, n)
-        scaled = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0, scale=1.0 + 1e-12))
-        mc = centering_constants(scaled, a_n, n, mc_size=2 * 10**5, seed=1)
+        mc = centering_constants(LinearSpec((1.0, 0.0), spec.innovation), a_n, n)
         assert mc.b1n == pytest.approx(exact.b1n, rel=0.05)
         assert mc.se_b1n > 0.0
 
-    def test_monte_carlo_se_gate(self):
-        scaled = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0, scale=1.0 + 1e-12))
-        with pytest.raises(SumProcessError, match="increase mc_size"):
-            centering_constants(scaled, 100.0, 10**4, mc_size=10**4, se_tol=1e-12)
+    # (c0, scale, p, alpha): X = c0 * scale * Z with Z the unit Pareto
+    SCALED = [(1.0, 3.7, 0.7, 1.5), (-2.0, 1.0, 0.7, 1.5), (1.0, 2.0**8, 1.0, 1.2),
+              (0.5, 1.0, 0.3, 1.8), (2.0, 1.0, 0.5, 1.5)]
+
+    @pytest.mark.parametrize("c0,scale,p,alpha", SCALED)
+    def test_scaled_order_zero_closed_form(self, c0, scale, p, alpha):
+        spec = LinearSpec((c0,), RegVarSpec(alpha, p=p, scale=scale))
+        n = 10**4
+        a_n = an_theoretical(spec, n)
+        cc = centering_constants(spec, a_n, n)
+        assert (cc.se_b1n, cc.se_b2n) == (0.0, 0.0)
+        # against a Monte Carlo of the same model, within 4 se
+        x = sample_model(spec, 10**6, 77).values / a_n
+        t1 = np.where(np.abs(x) <= 1.0, x, 0.0)
+        t2 = np.where(x * x <= 1.0, x * x, 0.0)
+        for exact, t in ((cc.b1n, t1), (cc.b2n, t2)):
+            se = t.std(ddof=1) / math.sqrt(t.size)
+            assert abs(t.mean() - exact) <= 4.0 * se
+
+    def test_scaled_order_zero_equals_unit_model_rescaled(self):
+        # X = c Z: b1n(a_n) of c Z is sign(c) b1n(a_n/|c|) of Z, b2n likewise
+        rv = RegVarSpec(1.5, p=0.7)
+        a_n = 123.0
+        unit = centering_constants(LinearSpec((1.0,), rv), a_n / 2.0, 1)
+        neg = centering_constants(LinearSpec((-2.0,), rv), a_n, 1)
+        assert neg.b1n == pytest.approx(-unit.b1n, rel=1e-14)
+        assert neg.b2n == pytest.approx(unit.b2n, rel=1e-14)
 
 
 class TestBuildLn:
