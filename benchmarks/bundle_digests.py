@@ -23,6 +23,16 @@ signed zeros occur.  A line hashes the 17-digit text of every distance the
 kind admits: ``uniform_distance``, each ``m1_distance_detailed`` field,
 ``j1_distance`` (step pairs), ``monotone_m1_distance`` (monotone pairs) and
 ``weak_m1_distance`` (two-coordinate pairs), at resolution 512.
+
+``report.jsonl`` keeps only KS statistics, which see only the order of the
+pooled samples, so a last-bit change in the replicate pass would not show
+there.  The script therefore also prints, per config, one
+``config marginals sha256`` line over the 17-digit text of every array of
+``lab._marginal_pass`` (the limit draws, then per n the seed stream, the
+sums, squared sums, S/V and a_n), and two ``sumproc function sha256``
+lines: ``build_Ln`` (times and both coordinates) and
+``self_normalized_at`` (every k/n and a fixed grid) on a fixed, seeded set
+of heavy-tailed samples of 1 to 500 points.
 """
 
 import argparse
@@ -34,7 +44,7 @@ import tempfile
 import numpy as np
 
 from bench_suite import CONFIGS, FULL, SUITE_CFG
-from m1lab import config, lab, paths
+from m1lab import config, lab, paths, sumproc
 
 VARIANTS = [
     ("determinism-linear", SUITE_CFG, ["model.variant=linear"]),
@@ -68,6 +78,46 @@ def bundle_digests(text, overrides):
             with open(os.path.join(outdir, name), "rb") as f:
                 out.append((name, hashlib.sha256(f.read()).hexdigest()))
     return out
+
+
+def _text17(values):
+    return " ".join(format(v, ".17g") for v in np.ravel(values))
+
+
+def marginal_digest(text, overrides):
+    """sha256 over the 17-digit text of every array of the replicate pass."""
+    cfg, _ = config.parse_config(text, overrides=overrides)
+    alpha, draws, by_n = lab._marginal_pass(cfg)
+    parts = [_text17(alpha)] + [_text17(draws[key]) for key in sorted(draws)]
+    for n in sorted(by_n):
+        base, *arrays = by_n[n]
+        parts += [str(n), str(base)] + [_text17(v) for v in arrays]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+SUM_SAMPLES = 30
+T_GRID = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
+
+
+def sumproc_digests(seed=20240503):
+    """(function, sha256) of build_Ln and self_normalized_at over
+    SUM_SAMPLES seeded samples: signed Pareto-like values at alpha 0.8 to
+    1.8, 1 to 500 points, a_n drawn in [1, 100)."""
+    rng = np.random.default_rng(seed)
+    built = []
+    normed = []
+    for _ in range(SUM_SAMPLES):
+        n = int(rng.integers(1, 501))
+        alpha = float(rng.uniform(0.8, 1.8))
+        x = rng.choice([-1.0, 1.0], n) * (1.0 - rng.random(n)) ** (-1.0 / alpha)
+        a_n = float(rng.uniform(1.0, 100.0))
+        pair = sumproc.build_Ln(x, a_n)
+        built.append(" ".join(_text17(v) for v in (pair.l1.times, pair.l1.values,
+                                                     pair.l2.values)))
+        normed.append(_text17(sumproc.self_normalized_at(x, None)) + " "
+                      + _text17(sumproc.self_normalized_at(x, T_GRID)))
+    return [(name, hashlib.sha256("\n".join(text).encode()).hexdigest())
+            for name, text in (("build_Ln", built), ("self_normalized_at", normed))]
 
 
 LEVELS = [0.0, -0.0, 1.0, -1.5, 2.0]
@@ -137,8 +187,11 @@ def main():
     for label, text, sets in CONFIGS + VARIANTS + (FULL if args.full else []):
         for name, digest in bundle_digests(text, sets):
             print(f"{label} {name} {digest}", flush=True)
+        print(f"{label} marginals {marginal_digest(text, sets)}", flush=True)
     for kind, digest in metric_digests():
         print(f"metrics {kind} {digest}", flush=True)
+    for name, digest in sumproc_digests():
+        print(f"sumproc {name} {digest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ see _marginal_pass.
 
 The checks that need theoretical norming or an analytic cluster law take
 the moving-average family ``LinearSpec``; the iid model is its order 0,
-``LinearSpec((1.0,), rv)``, and a model counts as clustered when it has
-more than one coefficient.
+``LinearSpec((1.0,), rv)``, and a model counts as clustered when its
+extremal index is below 1 (so ``LinearSpec((1.0, 0.0), rv)``, the iid law,
+is not).
 """
 
 import functools
@@ -50,6 +51,7 @@ from .sumproc import (
     centering_constants,
     collapse_clusters,
     grid_index,
+    partial_sums,
 )
 from .stable import levy_marginal_draws, simulate_levy_pair, triple_from_cluster
 from .tailstats import BlockingScheme
@@ -134,10 +136,11 @@ def _analytic_setup(config):
     return spec, alpha, theta, cluster, triple
 
 
-def _partial_sum_marginals(spec, n, t_grid, replicates, base_seed, centered):
-    """Replicate values at grid times k = floor(n t) of S_k, Q_k (sums of
-    x/a_n and its square, less k b1n and k b2n when ``centered``) and
-    S_k / sqrt(uncentered Q_n), with a_n; the replicates are those of
+def _partial_sum_marginals(spec, n, t_grid, replicates, base_seed):
+    """Replicate values at grid times k = floor(n t) of S_k - k b1n,
+    Q_k - k b2n (the :func:`~m1lab.sumproc.partial_sums`, centered by
+    :func:`~m1lab.sumproc.centering_constants`, which are 0 below alpha 1)
+    and (S_k - k b1n) / sqrt(Q_n), with a_n; the replicates are those of
     ``replicate_samples(spec, n, base_seed, replicates)``."""
     a_n = an_theoretical(spec, n)
     idx = grid_index(n, t_grid)
@@ -145,21 +148,19 @@ def _partial_sum_marginals(spec, n, t_grid, replicates, base_seed, centered):
     s2 = np.empty((replicates, idx.size))
     v2 = np.empty(replicates)
     for rep, x in enumerate(replicate_samples(spec, n, base_seed, replicates)):
-        y = x / a_n
-        s1[rep] = np.concatenate([[0.0], np.cumsum(y)])[idx]
-        c2 = np.concatenate([[0.0], np.cumsum(np.square(y, out=y))])
-        s2[rep] = c2[idx]
-        v2[rep] = c2[-1]
-    if centered:
-        const = centering_constants(spec, a_n, n)
-        s1 -= idx * const.b1n
-        s2 -= idx * const.b2n
+        s, q = partial_sums(x, a_n)
+        s1[rep] = s[idx]
+        s2[rep] = q[idx]
+        v2[rep] = q[-1]
+    const = centering_constants(spec, a_n)
+    s1 -= idx * const.b1n
+    s2 -= idx * const.b2n
     return s1, s2, s1 / np.sqrt(v2)[:, None], a_n
 
 
 def _marginal_pass(config):
     """(alpha, limit draws, {n: (seed stream, *replicate marginals)}) of
-    fidi and selfnorm, centered for alpha >= 1."""
+    fidi and selfnorm."""
     if config.replicates < 200:
         raise LabError("need at least 200 replicates for distribution comparisons")
     spec, alpha, _theta, cluster, triple = _analytic_setup(config)
@@ -176,7 +177,7 @@ def _marginal_pass(config):
     for n in config.n_grid:
         base = stream_seed(config.seed, f"selfnorm-n{n}")
         by_n[n] = (base,) + _partial_sum_marginals(
-            spec, n, t_grid, config.replicates, base, alpha >= 1.0
+            spec, n, t_grid, config.replicates, base
         )
     return alpha, draws, by_n
 
@@ -232,8 +233,7 @@ def run_selfnorm_convergence(config, shared=None):
     ``shared`` as in :func:`run_fidi_convergence`."""
     _alpha, draws, by_n = shared() if shared else _marginal_pass(config)
     lim = draws["l1"] / np.sqrt(draws["l2_total"])[:, None]
-    spec = config.model
-    clustered = len(spec.coeffs) > 1
+    clustered = model_extremal_index(config.model) < 1.0
     tol_key = "ks_selfnorm_clustered" if clustered else "ks_selfnorm"
     res = CheckResult(check="selfnorm", thresholds={tol_key: config.tolerances[tol_key]})
     ks_by_n = {}
@@ -267,7 +267,7 @@ def run_j1_vs_m1_contrast(config):
     res = CheckResult(
         check="contrast", thresholds={"m1_j1_frac": config.tolerances["m1_j1_frac"]}
     )
-    clustered = len(spec.coeffs) > 1
+    clustered = model_extremal_index(spec) < 1.0
     med_m1 = {}
     orderings = []
     for n in config.contrast_n_grid:
@@ -665,12 +665,21 @@ def write_bundle(report, config, outdir):
 
 
 def _version_record():
+    """Versions of m1lab, numpy and scipy; scipy's is read from its package
+    metadata, so writing a manifest imports no scipy."""
+    import importlib.metadata
+
     import numpy
-    import scipy
 
     from . import __version__
 
-    return {"m1lab": __version__, "numpy": numpy.__version__, "scipy": scipy.__version__}
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        import scipy
+
+        scipy_version = scipy.__version__
+    return {"m1lab": __version__, "numpy": numpy.__version__, "scipy": scipy_version}
 
 
 def _write_sample_paths(config, paths_dir):

@@ -234,8 +234,14 @@ def stable_params(triple):
 
     (the tau formula covers both regimes: for alpha < 1 it removes the
     small-jump compensator, for alpha > 1 it adds the large-jump tail mean).
-    For alpha = 1, c = theta (c+ + c-) pi/2 and tau is calibrated
-    numerically from the exponent at z = 1, where the log|z| term vanishes.
+    For alpha = 1 the same integral over x>0, compensated on x <= 1, is
+    -(pi/2)|z| - i z log|z| + i z (1 - gamma_E), so
+
+        c    = theta (c+ + c-) pi / 2
+        tau  = gamma1 + theta (c+ - c-) (1 - gamma_E)
+
+    with gamma_E Euler's constant.  :func:`levy_exponent` evaluates the
+    same exponent by quadrature, an independent route the tests compare.
     """
     cp, cm = triple.c_plus, triple.c_minus
     tot = cp + cm
@@ -245,7 +251,7 @@ def stable_params(triple):
     beta = (cp - cm) / tot
     if a == 1.0:
         c = triple.theta * tot * math.pi / 2.0
-        tau = levy_exponent(1.0, triple).imag
+        tau = triple.gamma1 + triple.theta * (cp - cm) * (1.0 - np.euler_gamma)
     else:
         c = triple.theta * tot * math.gamma(1.0 - a) * math.cos(math.pi * a / 2.0)
         tau = triple.gamma1 - _compensator_integral(triple)

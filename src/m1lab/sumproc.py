@@ -1,7 +1,8 @@
-"""Partial-sum path functionals of a sample: the joint (sums, sums of
-squares) step-path pair, its truncated-mean centering constants, the
-self-normalized path S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2), and
-block-collapsed paths.
+"""Partial-sum path functionals of a sample: the partial sums S_k and Q_k
+of X/a_n and its square (formed only in :func:`partial_sums`), their joint
+step-path pair, its truncated-mean centering constants, the self-normalized
+path S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2), and block-collapsed
+paths.
 
 The self-normalized path is exactly scale invariant: in real arithmetic
 S/V does not see a positive rescaling of the data, and in floating point
@@ -58,7 +59,7 @@ def _pareto_truncated_abs_moment(alpha, power, upper):
     return alpha / expo * (upper**expo - 1.0)
 
 
-def centering_constants(spec, a_n, n):
+def centering_constants(spec, a_n):
     """b1n = E[(X/a_n) 1{|X|/a_n <= 1}], b2n = E[(X^2/a_n^2) 1{X^2/a_n^2 <= 1}].
 
     Zero in the alpha < 1 regime.  An order-0 moving average X = c Z, with
@@ -89,15 +90,21 @@ def centering_constants(spec, a_n, n):
     return CenteringConstants(b1n, b2n, se1, se2)
 
 
+def partial_sums(data, a_n):
+    """S_k and Q_k, k = 0..n: the partial sums of X/a_n and of its square,
+    each with a leading 0.  The one place the sums are formed."""
+    y = np.asarray(data, dtype=float) / a_n
+    s = np.concatenate([[0.0], np.cumsum(y)])
+    return s, np.concatenate([[0.0], np.cumsum(np.square(y, out=y))])
+
+
 def build_Ln(data, a_n):
     """Step-path pair on breakpoints k/n: partial sums of X/a_n and X^2/a_n^2."""
-    x = np.asarray(data, dtype=float)
-    if x.size == 0:
+    s1, s2 = partial_sums(data, a_n)
+    n = s1.size - 1
+    if n == 0:
         raise SumProcessError("need a nonempty sample")
-    n = x.size
     times = np.arange(n + 1) / n
-    s1 = np.concatenate([[0.0], np.cumsum(x / a_n)])
-    s2 = np.concatenate([[0.0], np.cumsum((x / a_n) ** 2)])
     return JointPathPair(
         l1=CadlagPath(times, s1, STEP),
         l2=CadlagPath(times, s2, STEP),
@@ -113,14 +120,13 @@ def grid_index(n, t_grid):
 
 def self_normalized_at(data, t_grid):
     """Values S_{floor(nt)} / V_n on ``t_grid``, or at every t = k/n when it
-    is None (no path object)."""
-    x = np.asarray(data, dtype=float)
-    v2 = float(np.sum(x * x))
+    is None (no path object); V_n^2 is the last Q of :func:`partial_sums`."""
+    s, q = partial_sums(data, 1.0)
+    v2 = float(q[-1])
     if v2 == 0.0:
         raise SumProcessError("self-normalization undefined: all observations are zero")
-    s = np.concatenate([[0.0], np.cumsum(x)])
     if t_grid is not None:
-        s = s[grid_index(x.size, t_grid)]
+        s = s[grid_index(s.size - 1, t_grid)]
     return s / np.sqrt(v2)
 
 

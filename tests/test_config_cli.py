@@ -448,7 +448,7 @@ class TestLimitsCmd:
             '"gamma1": 0, "gamma1_flagged": true, "gamma2": 0, "p": 0.69999999999999996, '
             '"q": 0.30000000000000004, "r2": 1, "regime": "[1,2)", "stable_alpha": 1, '
             '"stable_beta": 0.39999999999999991, "stable_c": 1.5707963267948966, '
-            '"stable_tau": 0.16911373403937857, "theta": 1}',
+            '"stable_tau": 0.16911373403938681, "theta": 1}',
         ),
         "linear_alpha12": (
             ["model.variant=linear", "model.coeffs=1,-0.6,0.3", "model.alpha=1.2"],

@@ -94,6 +94,19 @@ class TestSelfnorm:
         res = lab.run_selfnorm_convergence(cfg)
         assert "ks_selfnorm_clustered" in res.thresholds
 
+    def test_zero_coefficient_is_not_clustered(self):
+        # (1, 0) is the iid law written at order 1: theta = 1, no clusters
+        cfg = small_config(
+            model=LinearSpec((1.0, 0.0), RegVarSpec(0.8, p=0.5)),
+            contrast_n_grid=(30,),
+            contrast_replicates=2,
+        )
+        res = lab.run_selfnorm_convergence(cfg)
+        assert res.thresholds == {"ks_selfnorm": cfg.tolerances["ks_selfnorm"]}
+        assert not any(r["clustered"] for r in res.rows)
+        trend = lab.run_j1_vs_m1_contrast(cfg).rows[-1]
+        assert trend["check"] == "contrast_trend" and trend["clustered"] is False
+
 
 class TestContrast:
     def test_rn_one_identity_collapse_gives_zero_distances(self):
@@ -484,6 +497,37 @@ class TestMarginalPass:
         }
 
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.5)])
+    def test_scale_free_bit_for_bit(self, coeffs, alpha):
+        # X/a_n does not see a power-of-two scale, so neither does any array
+        # of the pass (MA(1, 0.5) at 1.5 takes the Monte Carlo centering)
+        # nor any KS; only a_n itself scales
+        def run(scale):
+            cfg = overlap_config(
+                model=LinearSpec(coeffs, RegVarSpec(alpha, p=0.5, scale=scale))
+            )
+            shared = lab._marginal_pass(cfg)
+            return (shared, lab.run_fidi_convergence(cfg, lambda: shared),
+                    lab.run_selfnorm_convergence(cfg, lambda: shared))
+
+        (alpha1, draws1, by_n1), *checks1 = run(1.0)
+        (alpha2, draws2, by_n2), *checks2 = run(2.0**10)
+        assert alpha1 == alpha2
+        assert draws1.keys() == draws2.keys()
+        for key in draws1:
+            assert np.array_equal(draws1[key], draws2[key])
+        assert by_n1.keys() == by_n2.keys()
+        for n in by_n1:
+            (base1, *arrays1, a_n1), (base2, *arrays2, a_n2) = by_n1[n], by_n2[n]
+            assert base1 == base2 and a_n2 == 2.0**10 * a_n1
+            for a, b in zip(arrays1, arrays2, strict=True):
+                assert np.array_equal(a, b)
+        for one, two in zip(checks1, checks2, strict=True):
+            ks = [{k: v for k, v in r.items() if k.startswith("ks")} for r in one.rows]
+            assert ks == [{k: v for k, v in r.items() if k.startswith("ks")} for r in two.rows]
+            assert one.verdicts == two.verdicts
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
     def test_rows_equal_checks_alone(self, alpha):
         cfg = overlap_config(model=LinearSpec((1.0,), RegVarSpec(alpha, p=0.5)))
         report = lab.run_full_suite(cfg)
@@ -539,9 +583,9 @@ class TestKsStatistic:
 
 
 class TestImportHygiene:
-    """Importing m1lab, parsing a config and running an iid suite load bare
-    scipy only, never its stats, integrate or optimize subpackages.  It runs
-    in a fresh interpreter, since the tests themselves import scipy."""
+    """Importing m1lab, parsing a config and running an iid suite, manifest
+    included, load no scipy at all.  It runs in a fresh interpreter, since
+    the tests themselves import scipy."""
 
     SCRIPT = """
 import sys
@@ -553,7 +597,7 @@ from m1lab.models import GarchSpec, model_alpha
 config.parse_config("")
 cfg, _ = config.parse_config(sys.argv[1])
 lab.run_full_suite(cfg, outdir=sys.argv[2])
-print([m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules])
+print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
 print(repr(model_alpha(GarchSpec(1.0, 0.5, 0.3))))
 """
 

@@ -151,6 +151,15 @@ class TestStableParams:
         tr = triple_from_cluster(0.8, 1.0, one_mark(0.7))
         assert stable_params(tr).tau == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("shape", [(1.0,), (1.0, 0.5), (1.0, -0.6, 0.3), (-1.0, 0.4)])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_alpha_one_tau_closed_form_matches_quadrature(self, shape, p):
+        # tau = gamma1 + theta (c+ - c-)(1 - gamma_E) against the imaginary
+        # part of the quadrature exponent at z = 1, where log|z| vanishes;
+        # (-1, 0.4) has a negative mark sum
+        tr = triple_from_cluster(1.0, 0.7, ClusterDistribution(np.array(shape), p), p=p)
+        assert abs(stable_params(tr).tau - levy_exponent(1.0, tr).imag) <= 1e-12
+
 
 class TestCms:
     def test_symmetric_sign_balance(self):

@@ -22,20 +22,20 @@ from m1lab.tailstats import BlockingScheme
 
 class TestCentering:
     def test_zero_below_one(self):
-        cc = centering_constants(LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)), 100.0, 100)
+        cc = centering_constants(LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)), 100.0)
         assert cc.b1n == 0.0 and cc.b2n == 0.0
 
     def test_closed_form_alpha_15(self):
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0))
         n = 10**4
         a_n = an_theoretical(spec, n)
-        cc = centering_constants(spec, a_n, n)
+        cc = centering_constants(spec, a_n)
         want = (1.5 / 0.5) * (1.0 - a_n ** (-0.5)) / a_n
         assert cc.b1n == pytest.approx(want, rel=1e-12)
 
     def test_symmetric_first_moment_vanishes(self):
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=0.5))
-        cc = centering_constants(spec, 100.0, 10**4)
+        cc = centering_constants(spec, 100.0)
         assert cc.b1n == 0.0
         assert cc.b2n > 0.0
 
@@ -45,22 +45,22 @@ class TestCentering:
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=p))
         n = 10**4
         a_n = an_theoretical(spec, n)
-        cc = centering_constants(spec, a_n, n)
+        cc = centering_constants(spec, a_n)
         m1 = (1.5 / 0.5) * (1.0 - a_n ** (-0.5))
         assert cc.b1n == pytest.approx((2.0 * p - 1.0) * m1 / a_n, rel=1e-12, abs=1e-15)
         assert cc.b2n == pytest.approx(3.0 * (a_n**0.5 - 1.0) / a_n**2, rel=1e-12)
         assert (cc.se_b1n, cc.se_b2n) == (0.0, 0.0)
         # a longer moving average at unit scale still takes Monte Carlo
         ma1 = LinearSpec((1.0, 0.5), RegVarSpec(1.5, p=p))
-        assert centering_constants(ma1, a_n, n).se_b2n > 0.0
+        assert centering_constants(ma1, a_n).se_b2n > 0.0
 
     def test_monte_carlo_branch_matches_closed_form(self):
         # the order-1 model (1, 0) has the i.i.d. law but takes Monte Carlo
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=1.0))
         n = 10**4
         a_n = an_theoretical(spec, n)
-        exact = centering_constants(spec, a_n, n)
-        mc = centering_constants(LinearSpec((1.0, 0.0), spec.innovation), a_n, n)
+        exact = centering_constants(spec, a_n)
+        mc = centering_constants(LinearSpec((1.0, 0.0), spec.innovation), a_n)
         assert mc.b1n == pytest.approx(exact.b1n, rel=0.05)
         assert mc.se_b1n > 0.0
 
@@ -73,7 +73,7 @@ class TestCentering:
         spec = LinearSpec((c0,), RegVarSpec(alpha, p=p, scale=scale))
         n = 10**4
         a_n = an_theoretical(spec, n)
-        cc = centering_constants(spec, a_n, n)
+        cc = centering_constants(spec, a_n)
         assert (cc.se_b1n, cc.se_b2n) == (0.0, 0.0)
         # against a Monte Carlo of the same model, within 4 se
         x = sample_model(spec, 10**6, 77).values / a_n
@@ -87,8 +87,8 @@ class TestCentering:
         # X = c Z: b1n(a_n) of c Z is sign(c) b1n(a_n/|c|) of Z, b2n likewise
         rv = RegVarSpec(1.5, p=0.7)
         a_n = 123.0
-        unit = centering_constants(LinearSpec((1.0,), rv), a_n / 2.0, 1)
-        neg = centering_constants(LinearSpec((-2.0,), rv), a_n, 1)
+        unit = centering_constants(LinearSpec((1.0,), rv), a_n / 2.0)
+        neg = centering_constants(LinearSpec((-2.0,), rv), a_n)
         assert neg.b1n == pytest.approx(-unit.b1n, rel=1e-14)
         assert neg.b2n == pytest.approx(unit.b2n, rel=1e-14)
 
@@ -112,7 +112,7 @@ class TestBuildLn:
     def test_centered_symmetric_mean_near_zero(self):
         # the lab's centered partial sums, at the final grid time
         spec = LinearSpec((1.0,), RegVarSpec(1.5, p=0.5))
-        rep1 = _partial_sum_marginals(spec, 500, [1.0], 1000, 17, centered=True)[0]
+        rep1 = _partial_sum_marginals(spec, 500, [1.0], 1000, 17)[0]
         finals = rep1[:, -1]
         se = finals.std(ddof=1) / math.sqrt(finals.size)
         assert abs(finals.mean()) <= 4.0 * se
