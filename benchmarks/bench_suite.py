@@ -21,7 +21,9 @@ Each config runs ``REPEAT`` times, writing its bundle to a temporary
 directory as ``m1lab suite`` does.  A check's time is the best of its
 ``REPEAT`` runtimes as the suite reports them, and ``total_s`` is the best
 wall time of the whole call, bundle writing included; the startup row keeps
-the best of ``REPEAT`` fresh interpreters.  With ``--record``
+the best of ``REPEAT`` fresh interpreters.  ``peak_mb`` is the peak of the
+memory Python and numpy allocate during one more, untimed run of the
+config, as tracemalloc reports it, so tracing does not slow the timed runs.  With ``--record``
 one point per config is appended to BENCH_suite.json at the repository
 root, with the same environment fields as BENCH_kernels.json.  Compare
 points only when machine and route match.
@@ -34,7 +36,7 @@ import sys
 import tempfile
 import time
 
-from bench_kernels import REPEAT, ROOT, append_points, environment
+from bench_kernels import REPEAT, ROOT, append_points, environment, peak_mb
 from m1lab import config, lab
 
 sys.path.insert(0, os.path.join(ROOT, "tests"))
@@ -79,19 +81,24 @@ def bench_startup():
     return min(sec for sec, _ in runs), min(mb for _, mb in runs)
 
 
+def run_suite(cfg):
+    with tempfile.TemporaryDirectory() as outdir:
+        return lab.run_full_suite(cfg, outdir=outdir)
+
+
 def bench(text, overrides):
-    """Best-of-REPEAT seconds per check, and of the whole suite call."""
+    """Best-of-REPEAT seconds per check and of the whole suite call, and the
+    traced peak MB of one more run."""
     cfg, _ = config.parse_config(text, overrides=overrides)
     checks = {}
     total = float("inf")
     for _ in range(REPEAT):
-        with tempfile.TemporaryDirectory() as outdir:
-            t0 = time.perf_counter()
-            report = lab.run_full_suite(cfg, outdir=outdir)
-            total = min(total, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        report = run_suite(cfg)
+        total = min(total, time.perf_counter() - t0)
         for name, sec in report.runtime.items():
             checks[name] = min(checks.get(name, float("inf")), sec)
-    return checks, total
+    return checks, total, peak_mb(lambda: run_suite(cfg))
 
 
 def main():
@@ -109,10 +116,11 @@ def main():
     print(f"route {route}; best of {REPEAT} runs, seconds")
     print(f"startup: import m1lab.cli + default parse_config {startup_s:.3f} s, "
           f"peak RSS {startup_mb:.1f} MB")
-    print(f"{'config':<22}" + "".join(f"{n:>{w}}" for n, w in widths.items()) + f"{'total':>10}")
-    for label, checks, total in rows:
+    print(f"{'config':<22}" + "".join(f"{n:>{w}}" for n, w in widths.items())
+          + f"{'total':>10}{'peak MB':>9}")
+    for label, checks, total, peak in rows:
         print(f"{label:<22}" + "".join(f"{checks[n]:>{w}.3f}" for n, w in widths.items())
-              + f"{total:>10.3f}")
+              + f"{total:>10.3f}{peak:>9.1f}")
     if not args.record:
         return
     env = environment(route)
@@ -121,8 +129,8 @@ def main():
          "peak_rss_mb": round(startup_mb, 1), "repeat": REPEAT, **env},
     ] + [
         {"config": label, "checks": {n: round(s, 4) for n, s in checks.items()},
-         "total_s": round(total, 4), "repeat": REPEAT, **env}
-        for label, checks, total in rows
+         "total_s": round(total, 4), "peak_mb": round(peak, 1), "repeat": REPEAT, **env}
+        for label, checks, total, peak in rows
     ])
 
 

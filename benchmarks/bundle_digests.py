@@ -33,6 +33,13 @@ sums, squared sums, S/V and a_n), and two ``sumproc function sha256``
 lines: ``build_Ln`` (times and both coordinates) and
 ``self_normalized_at`` (every k/n and a fixed grid) on a fixed, seeded set
 of heavy-tailed samples of 1 to 500 points.
+
+``stable.levy_marginal_draws`` builds its series in blocks of draws, so
+one ``stable levy_marginal_draws sha256`` line hashes the 17-digit text of
+``l1``, ``l2`` and ``l2_total``, or the text of the refusal, over a seeded
+grid: five models, draw counts on both sides of the block size and two
+calls the remainder-sd guard refuses, one of them for a level past the
+first block.
 """
 
 import argparse
@@ -44,7 +51,7 @@ import tempfile
 import numpy as np
 
 from bench_suite import CONFIGS, FULL, SUITE_CFG
-from m1lab import config, lab, paths, sumproc
+from m1lab import config, lab, paths, stable, sumproc
 
 VARIANTS = [
     ("determinism-linear", SUITE_CFG, ["model.variant=linear"]),
@@ -120,6 +127,40 @@ def sumproc_digests(seed=20240503):
             for name, text in (("build_Ln", built), ("self_normalized_at", normed))]
 
 
+# (model overrides, draw counts); n_pts 1000 on the default time grid
+LEVY_MODELS = [
+    ([], [1, 127, 128, 129, 257, 2000]),
+    (["model.variant=linear", "model.coeffs=1.0, 0.5"], [1, 129, 300]),
+    (["model.alpha=1.5", "model.p=0.7"], [1, 129, 300]),
+    (["model.alpha=1.0", "model.p=0.6"], [1, 129, 300]),
+    (["model.variant=linear", "model.coeffs=1.0, -0.6, 0.3", "model.alpha=1.2",
+      "model.p=0.7"], [1, 129, 300]),
+]
+# (model overrides, draw count, seed) the guard refuses: at alpha 1.57 the
+# 257 draws of seed 33 keep every remainder sd of the first 128 below 0.75
+# and pass it at draw 212; at alpha 1.9 every draw passes it
+LEVY_REFUSALS = [(["model.alpha=1.57"], 257, 33), (["model.alpha=1.9"], 5, 0)]
+
+
+def levy_digest(seed=20240503):
+    """sha256 over the limit draws (or refusal texts) of the LEVY_ grids."""
+    rng = np.random.default_rng(seed)
+    calls = [(sets, n, int(rng.integers(2**32))) for sets, counts in LEVY_MODELS
+             for n in counts] + LEVY_REFUSALS
+    text = []
+    for sets, n, call_seed in calls:
+        cfg, _ = config.parse_config("", overrides=sets)
+        _spec, _alpha, _theta, cluster, triple = lab._analytic_setup(cfg)
+        try:
+            d = stable.levy_marginal_draws(triple, cluster, cfg.t_grid, n, n_pts=1000,
+                                           seed=call_seed)
+        except stable.StableError as exc:
+            text.append(f"{type(exc).__name__}: {exc}")
+            continue
+        text.append(" ".join(_text17(d[key]) for key in ("l1", "l2", "l2_total")))
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
+
+
 LEVELS = [0.0, -0.0, 1.0, -1.5, 2.0]
 METRIC_PAIRS = 40
 RESOLUTION = 512
@@ -192,6 +233,7 @@ def main():
         print(f"metrics {kind} {digest}", flush=True)
     for name, digest in sumproc_digests():
         print(f"sumproc {name} {digest}", flush=True)
+    print(f"stable levy_marginal_draws {levy_digest()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ class ClusterDistribution:
     """Law of normalized mark sequences (eta_j) with sup_j |eta_j| = 1.
 
     ``shape`` is the deterministic template; a cluster is sign * shape with
-    sign = +1 w.p. p, -1 w.p. q (``stable._levy_series`` draws the signs).
+    sign = +1 w.p. p, -1 w.p. q (``stable._series_blocks`` draws the signs).
     """
 
     shape: np.ndarray

@@ -30,6 +30,10 @@ TAIL_SD_TOL = 0.75
 # extra breakpoints of a one-path draw on which the drift is sampled
 DRIFT_GRID = 256
 
+# draws per block of a series: each block's arrays are built, used and
+# dropped before the next, so a batch's peak memory is one block's
+SERIES_BLOCK = 128
+
 
 class StableError(ValueError):
     pass
@@ -305,7 +309,7 @@ def cms_sampler(params, m, seed):
 
 
 class _Series(NamedTuple):
-    """Truncated LePage series of the limit pair for a batch of draws.
+    """Truncated LePage series of the limit pair for a batch or block of draws.
 
     ``times``, ``jump1`` and ``jump2`` have shape batch + (n_pts,); ``u``
     (the truncation level), ``drift1`` and ``drift2`` (the drift rates
@@ -320,16 +324,49 @@ class _Series(NamedTuple):
     drift2: np.ndarray
 
 
-def _levy_series(triple, cluster, batch, n_pts, seed):
-    """The series behind both samplers, for a batch of draws, with the RNG
-    consumed in one order: Poisson points, jump times, then one cluster sign
-    per point.
+def _points(rng, theta, alpha, out):
+    """Fill the rows of ``out`` with the next rows of Poisson points, each
+    decreasing, and return it.
+
+    The mean measure of nu(dy) = theta*alpha*y^{-alpha-1} dy on (y, inf) is
+    theta * y^{-alpha}; pushing unit-rate Poisson arrivals Gamma_i through
+    its inverse y = (Gamma_i / theta)^{-1/alpha} therefore yields exactly
+    the points of the driving process, in decreasing order.
+    """
+    rng.standard_exponential(out=out)
+    np.cumsum(out, axis=-1, out=out)
+    np.divide(out, theta, out=out)
+    return np.power(out, -1.0 / alpha, out=out)
+
+
+def _uniforms_at(rng, state, skip, out):
+    """Fill ``out`` with uniforms read ``skip`` outputs after ``state``; a
+    double takes exactly one PCG64 output."""
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(skip)
+    return rng.random(out=out)
+
+
+def _series_blocks(triple, cluster, n_draws, n_pts, seed):
+    """The series of ``n_draws`` draws, ``SERIES_BLOCK`` rows at a time:
+    yields ``(lo, series)`` for the rows lo, lo + 1, ... of each block.
+
+    Every block holds the bits of the one batch that reads the stream in
+    the order Poisson gaps, jump times, then one cluster sign per point.
+    The exponential gaps take a variable number of stream outputs each, so
+    a first pass draws them block by block, keeping only each row's
+    truncation level and the generator state at each block start; the
+    remainder-sd guard then sees every level before any block is built.  A
+    block replays its gaps from its saved state and reads its times and
+    signs at their offsets after the last gap.  Every later step is per row.
+    A block's points (squared into ``jump2``) and times live in buffers that
+    the next block overwrites, so a caller keeping a block copies them.
 
     A cluster is sign * eta with the fixed shape eta = ``cluster.shape``, so
     a point's jumps are pts * sign * sum(eta) and pts^2 * sum(eta^2); at
     alpha >= 1 only the marks with pts * |eta_j| above the truncation level
-    enter the first.  The points are built in the buffer of their running
-    sum and squared in place once nothing else reads them.
+    enter the first.  The points are squared in place once nothing else
+    reads them.
     """
     if n_pts < MIN_SERIES_POINTS:
         raise StableError(f"n_pts >= {MIN_SERIES_POINTS} required")
@@ -337,18 +374,16 @@ def _levy_series(triple, cluster, batch, n_pts, seed):
     theta = triple.theta
     eta = cluster.shape
     rng = seeded_rng(seed)
-    # The mean measure of nu(dy) = theta*alpha*y^{-alpha-1} dy on (y, inf)
-    # is theta * y^{-alpha}; pushing unit-rate Poisson arrivals Gamma_i
-    # through its inverse y = (Gamma_i / theta)^{-1/alpha} therefore yields
-    # exactly the points of the driving process, in decreasing order.
-    shape = batch + (n_pts,)
-    pts = np.cumsum(rng.exponential(size=shape), axis=-1)
-    np.divide(pts, theta, out=pts)
-    np.power(pts, -1.0 / a, out=pts)
-    times = rng.random(shape)
-    signs = 1.0 - 2.0 * (rng.random(shape) >= cluster.p)
-    # the levels are copied out of pts, which is squared in place below
-    u = pts[..., -1].copy()
+    starts = range(0, n_draws, SERIES_BLOCK)
+    # a block's points and uniforms, refilled by every block of both passes
+    work = np.empty((2, min(SERIES_BLOCK, n_draws), n_pts))
+    states = []
+    u = np.empty(n_draws)
+    for lo in starts:
+        states.append(rng.bit_generator.state)
+        rows = min(SERIES_BLOCK, n_draws - lo)
+        u[lo : lo + rows] = _points(rng, theta, a, work[0, :rows])[:, -1]
+    after_gaps = rng.bit_generator.state
     _cp, _cm, _r2, mean_sum, mean_sq, _sgn = cluster.exact_sum_moments(a)
 
     if a >= 1.0:
@@ -359,16 +394,40 @@ def _levy_series(triple, cluster, batch, n_pts, seed):
                 f"series tail too heavy (remainder sd {sd:.3f} > {TAIL_SD_TOL}); "
                 "increase n_pts"
             )
-        keep = pts[..., None] * np.abs(eta) > u[..., None, None]
-        jump1 = pts * (signs * (eta * keep).sum(axis=-1))
         drift1 = _mark_drift_rate(triple, u)
     else:
-        jump1 = pts * (signs * eta.sum())
         drift1 = -theta * a / (1.0 - a) * u ** (1.0 - a) * mean_sum
     drift2 = -theta * a / (2.0 - a) * u ** (2.0 - a) * mean_sq
-    jump2 = np.square(pts, out=pts)
-    jump2 *= mean_sq
-    return _Series(times, jump1, jump2, u, drift1, drift2)
+
+    for lo, state in zip(starts, states):
+        rows = min(SERIES_BLOCK, n_draws - lo)
+        at = slice(lo, lo + rows)
+        rng.bit_generator.state = state
+        pts = _points(rng, theta, a, work[0, :rows])
+        # the sign uniforms first: the times then take their buffer
+        signs = _uniforms_at(rng, after_gaps, (n_draws + lo) * n_pts, work[1, :rows])
+        signs = 1.0 - 2.0 * (signs >= cluster.p)
+        times = _uniforms_at(rng, after_gaps, lo * n_pts, work[1, :rows])
+        if a >= 1.0:
+            keep = pts[..., None] * np.abs(eta) > u[at, None, None]
+            jump1 = pts * (signs * (eta * keep).sum(axis=-1))
+        else:
+            jump1 = pts * (signs * eta.sum())
+        jump2 = np.square(pts, out=pts)
+        jump2 *= mean_sq
+        yield lo, _Series(times, jump1, jump2, u[at], drift1[at], drift2[at])
+
+
+def _levy_series(triple, cluster, batch, n_pts, seed):
+    """The series behind both samplers for a batch of draws (``batch`` a
+    shape tuple): the blocks of :func:`_series_blocks`, copied and joined."""
+    fields = [[] for _ in _Series._fields]
+    for _lo, s in _series_blocks(triple, cluster, math.prod(batch), n_pts, seed):
+        for blocks, value in zip(fields, s):
+            blocks.append(value.copy())
+    return _Series(
+        *(np.concatenate(blocks).reshape(batch + blocks[0].shape[1:]) for blocks in fields)
+    )
 
 
 def _mark_drift_rate(triple, u):
@@ -393,34 +452,35 @@ def levy_marginal_draws(triple, cluster, t_grid, n_draws, n_pts=2000, seed=0):
     t * theta*alpha*(c+ + c-) u^{2-alpha} / (2-alpha); its square root must
     stay below ``TAIL_SD_TOL``.  The expected contribution of the points
     below u is added back as a deterministic drift: to L1 for alpha < 1, to
-    L2 at every alpha.
+    L2 at every alpha.  The rows are filled one block of the series at a
+    time.
     """
-    times, jump1, jump2, _u, drift1, drift2 = _levy_series(
-        triple, cluster, (n_draws,), n_pts, seed
-    )
     t_grid = np.asarray(t_grid, dtype=float)
-    # one flat gather per coordinate: row r's sorted jumps sit at flat
-    # offsets r * n_pts + order[r]; each source is freed once gathered, so
-    # the grid stage keeps only times, c1 and c2
-    order = np.argsort(times, axis=1)
-    order += np.arange(n_draws)[:, None] * n_pts
-    c1 = np.take(jump1, order)
-    del jump1
-    c2 = np.take(jump2, order)
-    del jump2, order
-    np.cumsum(c1, axis=1, out=c1)
-    np.cumsum(c2, axis=1, out=c2)
     l1 = np.empty((n_draws, t_grid.size))
     l2 = np.empty((n_draws, t_grid.size))
-    for j, t in enumerate(t_grid):
-        # a row's times are the same multiset sorted or not
-        counts = np.count_nonzero(times <= t, axis=1)
-        has = counts > 0
-        l1[:, j] = np.where(has, c1[np.arange(n_draws), np.maximum(counts - 1, 0)], 0.0)
-        l2[:, j] = np.where(has, c2[np.arange(n_draws), np.maximum(counts - 1, 0)], 0.0)
-        l1[:, j] -= t * drift1
-        l2[:, j] -= t * drift2
-    l2_total = c2[:, -1] - drift2
+    l2_total = np.empty(n_draws)
+    for lo, (times, jump1, jump2, _u, drift1, drift2) in _series_blocks(
+        triple, cluster, n_draws, n_pts, seed
+    ):
+        rows = np.arange(times.shape[0])
+        at = slice(lo, lo + rows.size)
+        # one flat gather per coordinate: row r's sorted jumps sit at flat
+        # offsets r * n_pts + order[r]
+        order = np.argsort(times, axis=1)
+        order += rows[:, None] * n_pts
+        c1 = np.take(jump1, order)
+        c2 = np.take(jump2, order)
+        np.cumsum(c1, axis=1, out=c1)
+        np.cumsum(c2, axis=1, out=c2)
+        for j, t in enumerate(t_grid):
+            # a row's times are the same multiset sorted or not
+            counts = np.count_nonzero(times <= t, axis=1)
+            has = counts > 0
+            l1[at, j] = np.where(has, c1[rows, np.maximum(counts - 1, 0)], 0.0)
+            l2[at, j] = np.where(has, c2[rows, np.maximum(counts - 1, 0)], 0.0)
+            l1[at, j] -= t * drift1
+            l2[at, j] -= t * drift2
+        l2_total[at] = c2[:, -1] - drift2
     return {"t_grid": t_grid, "l1": l1, "l2": l2, "l2_total": l2_total}
 
 

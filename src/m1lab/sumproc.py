@@ -11,6 +11,7 @@ commutes with rounding through sums, squares, sqrt and the final division).
 Negating the data negates the path bitwise for the same reason.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,23 @@ def _pareto_truncated_abs_moment(alpha, power, upper):
     return alpha / expo * (upper**expo - 1.0)
 
 
+@functools.lru_cache(maxsize=1)
+def _centering_sample(spec):
+    """The read-only ``CENTERING_MC_SIZE`` draws at seed 0 behind a Monte
+    Carlo centering, drawn once per model and shared by every a_n."""
+    sample = sample_model(spec, CENTERING_MC_SIZE, 0).values
+    sample.flags.writeable = False
+    return sample
+
+
 def centering_constants(spec, a_n):
     """b1n = E[(X/a_n) 1{|X|/a_n <= 1}], b2n = E[(X^2/a_n^2) 1{X^2/a_n^2 <= 1}].
 
     Zero in the alpha < 1 regime.  An order-0 moving average X = c Z, with
     c = coeffs[0] * scale and Z the unit Pareto, takes closed-form Pareto
     integrals at the level a_n/|c|; every other model a Monte Carlo estimate
-    over ``CENTERING_MC_SIZE`` draws at seed 0, with its standard errors.
+    over ``CENTERING_MC_SIZE`` draws at seed 0 (one sample per model, kept
+    for the next call), with its standard errors.
     """
     alpha = model_alpha(spec)
     if alpha < 1.0:
@@ -78,8 +89,7 @@ def centering_constants(spec, a_n):
         b1n = c * (rv.p - rv.q) * m1 / a_n
         b2n = c * c * m2 / (a_n * a_n)
         return CenteringConstants(b1n, b2n)
-    sample = sample_model(spec, CENTERING_MC_SIZE, 0).values
-    y = sample / a_n
+    y = _centering_sample(spec) / a_n
     t1 = np.where(np.abs(y) <= 1.0, y, 0.0)
     y2 = y * y
     t2 = np.where(y2 <= 1.0, y2, 0.0)

@@ -6,7 +6,8 @@ samplers draw signs by arithmetic on the uniform mask; and
 ``stable.levy_marginal_draws`` counts jump times unsorted and gathers the
 sorted jumps with one flat ``np.take``; ``stable._levy_series`` builds its
 points and squares in place and draws one sign per point in place of a
-marks array; and the i.i.d. model is the order-0 ``LinearSpec``, which
+marks array; the series is built in blocks of draws, not as one batch;
+and the i.i.d. model is the order-0 ``LinearSpec``, which
 replaced its own sampler ``sample_iid``.  These are the forms they
 replaced, copied unchanged.  ``tests/test_mc_oracle.py`` asserts that both give the same
 bits.

@@ -3,11 +3,12 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from m1lab import lab, models
+from m1lab import lab, models, sumproc
 from m1lab.config import ConfigError, default_config, replace_config
 from m1lab.models import GarchSpec, LinearSpec, RegVarSpec
 
@@ -536,6 +537,39 @@ class TestMarginalPass:
             suite = next(r for r in report.results if r.check == alone.check)
             assert suite.rows == alone.rows
             assert suite.verdicts == alone.verdicts
+
+    def test_one_centering_sample_per_pass(self, monkeypatch):
+        # MA(1, 0.5) at alpha 1.5 takes the Monte Carlo centering at every n
+        cfg = replace_config(
+            overlap_config(model=LinearSpec((1.0, 0.5), RegVarSpec(1.5, p=0.5))),
+            n_grid=(100, 200, 400),
+        )
+        draws = []
+        consts = []
+
+        def sample(spec, n, seed):
+            draws.append(n)
+            return models.sample_model(spec, n, seed)
+
+        def centering(spec, a_n):
+            consts.append((spec, a_n, centering_constants(spec, a_n)))
+            return consts[-1][2]
+
+        centering_constants = sumproc.centering_constants
+        sumproc._centering_sample.cache_clear()
+        monkeypatch.setattr(sumproc, "sample_model", sample)
+        monkeypatch.setattr(lab, "centering_constants", centering)
+        lab._marginal_pass(cfg)
+        assert draws == [sumproc.CENTERING_MC_SIZE]
+        assert [a_n for _spec, a_n, _c in consts] == [
+            models.an_theoretical(cfg.model, n) for n in cfg.n_grid
+        ]
+        assert not sumproc._centering_sample(cfg.model).flags.writeable
+        for spec, a_n, got in consts:
+            sumproc._centering_sample.cache_clear()
+            want = centering_constants(spec, a_n)
+            assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
+        assert draws == [sumproc.CENTERING_MC_SIZE] * (1 + len(cfg.n_grid))
 
     def test_error_in_pass_recorded(self, monkeypatch):
         def fail(*args):
