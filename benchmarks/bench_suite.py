@@ -21,16 +21,21 @@ Each config runs ``REPEAT`` times, writing its bundle to a temporary
 directory as ``m1lab suite`` does.  A check's time is the best of its
 ``REPEAT`` runtimes as the suite reports them, and ``total_s`` is the best
 wall time of the whole call, bundle writing included; the startup row keeps
-the best of ``REPEAT`` fresh interpreters.  ``peak_mb`` is the peak of the
-memory Python and numpy allocate during one more, untimed run of the
-config, as tracemalloc reports it, so tracing does not slow the timed runs.  With ``--record``
-one point per config is appended to BENCH_suite.json at the repository
-root, with the same environment fields as BENCH_kernels.json.  Compare
-points only when machine and route match.
+the best of ``REPEAT`` fresh interpreters.  ``peak_mb`` is the median of
+the peaks of the memory Python and numpy allocate during ``REPEAT`` more,
+untimed runs of the config, as tracemalloc reports them, so tracing does
+not slow the timed runs; ``peak_mb_range`` holds their least and largest.
+The peaks of identical runs differ by several MB: tracemalloc counts every
+thread, and the Karamata sums' chunk buffers overlap the main thread's own
+peak by a varying amount (the likely spread).  With ``--record`` one point
+per config is appended to BENCH_suite.json at the repository root, with the
+same environment fields as BENCH_kernels.json.  Compare points only when
+machine and route match.
 """
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -88,7 +93,7 @@ def run_suite(cfg):
 
 def bench(text, overrides):
     """Best-of-REPEAT seconds per check and of the whole suite call, and the
-    traced peak MB of one more run."""
+    traced peak MB of REPEAT more runs, least to largest."""
     cfg, _ = config.parse_config(text, overrides=overrides)
     checks = {}
     total = float("inf")
@@ -98,7 +103,7 @@ def bench(text, overrides):
         total = min(total, time.perf_counter() - t0)
         for name, sec in report.runtime.items():
             checks[name] = min(checks.get(name, float("inf")), sec)
-    return checks, total, peak_mb(lambda: run_suite(cfg))
+    return checks, total, sorted(peak_mb(lambda: run_suite(cfg)) for _ in range(REPEAT))
 
 
 def main():
@@ -117,10 +122,11 @@ def main():
     print(f"startup: import m1lab.cli + default parse_config {startup_s:.3f} s, "
           f"peak RSS {startup_mb:.1f} MB")
     print(f"{'config':<22}" + "".join(f"{n:>{w}}" for n, w in widths.items())
-          + f"{'total':>10}{'peak MB':>9}")
-    for label, checks, total, peak in rows:
+          + f"{'total':>10}{'peak MB':>9}  range")
+    for label, checks, total, peaks in rows:
         print(f"{label:<22}" + "".join(f"{checks[n]:>{w}.3f}" for n, w in widths.items())
-              + f"{total:>10.3f}{peak:>9.1f}")
+              + f"{total:>10.3f}{statistics.median(peaks):>9.1f}"
+              + f"  {peaks[0]:.1f}-{peaks[-1]:.1f}")
     if not args.record:
         return
     env = environment(route)
@@ -129,8 +135,9 @@ def main():
          "peak_rss_mb": round(startup_mb, 1), "repeat": REPEAT, **env},
     ] + [
         {"config": label, "checks": {n: round(s, 4) for n, s in checks.items()},
-         "total_s": round(total, 4), "peak_mb": round(peak, 1), "repeat": REPEAT, **env}
-        for label, checks, total, peak in rows
+         "total_s": round(total, 4), "peak_mb": round(statistics.median(peaks), 1),
+         "peak_mb_range": [round(peaks[0], 1), round(peaks[-1], 1)], "repeat": REPEAT, **env}
+        for label, checks, total, peaks in rows
     ])
 
 

@@ -39,7 +39,10 @@ one ``stable levy_marginal_draws sha256`` line hashes the 17-digit text of
 ``l1``, ``l2`` and ``l2_total``, or the text of the refusal, over a seeded
 grid: five models, draw counts on both sides of the block size and two
 calls the remainder-sd guard refuses, one of them for a level past the
-first block.
+first block.  One ``stable simulate_levy_pair sha256`` line hashes the
+17-digit text of the limit path's times, both coordinates, its totals,
+u, b1n and b2n for the same five models at seeds 0 to 3, since the
+bundles hold only one ``paths/limit_pair.csv`` per config.
 """
 
 import argparse
@@ -161,6 +164,22 @@ def levy_digest(seed=20240503):
     return hashlib.sha256("\n".join(text).encode()).hexdigest()
 
 
+def pair_digest(seeds=range(4)):
+    """sha256 over the limit paths of the LEVY_MODELS models at ``seeds``."""
+    text = []
+    for sets, _counts in LEVY_MODELS:
+        cfg, _ = config.parse_config("", overrides=sets)
+        _spec, _alpha, _theta, cluster, triple = lab._analytic_setup(cfg)
+        for seed in seeds:
+            pair, meta = stable.simulate_levy_pair(triple, cluster, n_pts=1000, seed=seed)
+            text.append(" ".join(
+                [_text17(v) for v in (pair.l1.times, pair.l1.values, pair.l2.values)]
+                + [_text17([meta["l1_total"], meta["l2_total"], pair.u, pair.b1n,
+                            pair.b2n])]
+            ))
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
+
+
 LEVELS = [0.0, -0.0, 1.0, -1.5, 2.0]
 METRIC_PAIRS = 40
 RESOLUTION = 512
@@ -234,6 +253,7 @@ def main():
     for name, digest in sumproc_digests():
         print(f"sumproc {name} {digest}", flush=True)
     print(f"stable levy_marginal_draws {levy_digest()}", flush=True)
+    print(f"stable simulate_levy_pair {pair_digest()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -198,7 +198,7 @@ def _cmd_converge(args):
     cfg, _ = _load_config(args)
     try:
         res = _CHECKS[args.check](cfg)
-    except (lab.LabError, StableError) as exc:
+    except (lab.LabError, StableError, tailstats.EstimatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for row in res.rows:

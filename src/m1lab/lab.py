@@ -493,14 +493,15 @@ def run_theta_recovery(config):
         check="theta", thresholds={"theta_abs": config.tolerances["theta_abs"]}
     )
     specs = [
-        ("iid", LinearSpec((1.0,), RegVarSpec(1.0, p=1.0)), 1.0),
-        ("ma_1_05", LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0)), 2.0 / 3.0),
-        ("ma_1_1", LinearSpec((1.0, 1.0), RegVarSpec(1.0, p=1.0)), 0.5),
+        ("iid", LinearSpec((1.0,), RegVarSpec(1.0, p=1.0))),
+        ("ma_1_05", LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0))),
+        ("ma_1_1", LinearSpec((1.0, 1.0), RegVarSpec(1.0, p=1.0))),
     ]
     n = config.theta_n
     scheme = BlockingScheme.from_exponent(n, config.kappa)
     ok = True
-    for label, spec, theta_true in specs:
+    for label, spec in specs:
+        theta_true = model_extremal_index(spec)
         base = stream_seed(config.seed, f"theta-{label}")
         ests = []
         for x in replicate_samples(spec, n, base, config.theta_replicates):

@@ -360,7 +360,7 @@ def _series_blocks(triple, cluster, n_draws, n_pts, seed):
     block replays its gaps from its saved state and reads its times and
     signs at their offsets after the last gap.  Every later step is per row.
     A block's points (squared into ``jump2``) and times live in buffers that
-    the next block overwrites, so a caller keeping a block copies them.
+    the next block overwrites.
 
     A cluster is sign * eta with the fixed shape eta = ``cluster.shape``, so
     a point's jumps are pts * sign * sum(eta) and pts^2 * sum(eta^2); at
@@ -416,18 +416,6 @@ def _series_blocks(triple, cluster, n_draws, n_pts, seed):
         jump2 = np.square(pts, out=pts)
         jump2 *= mean_sq
         yield lo, _Series(times, jump1, jump2, u[at], drift1[at], drift2[at])
-
-
-def _levy_series(triple, cluster, batch, n_pts, seed):
-    """The series behind both samplers for a batch of draws (``batch`` a
-    shape tuple): the blocks of :func:`_series_blocks`, copied and joined."""
-    fields = [[] for _ in _Series._fields]
-    for _lo, s in _series_blocks(triple, cluster, math.prod(batch), n_pts, seed):
-        for blocks, value in zip(fields, s):
-            blocks.append(value.copy())
-    return _Series(
-        *(np.concatenate(blocks).reshape(batch + blocks[0].shape[1:]) for blocks in fields)
-    )
 
 
 def _mark_drift_rate(triple, u):
@@ -492,13 +480,13 @@ def simulate_levy_pair(triple, cluster, n_pts=2000, seed=0):
     sampled on ``DRIFT_GRID`` extra breakpoints.  The second coordinate is
     emitted uncentered (nondecreasing).  ``meta`` holds the totals at t = 1.
     """
-    s = _levy_series(triple, cluster, (1,), n_pts, seed)
+    _lo, s = next(_series_blocks(triple, cluster, 1, n_pts, seed))
     times = s.times[0]
     u = float(s.u[0])
     drift1 = float(s.drift1[0])
     drift2 = float(s.drift2[0])
-    grid = np.linspace(0.0, 1.0, DRIFT_GRID + 1)
-    all_times = np.union1d(times, grid)
+    # the grid holds t = 0, so every path starts at 0
+    all_times = np.union1d(times, np.linspace(0.0, 1.0, DRIFT_GRID + 1))
     order = np.argsort(times)
     ts = times[order]
     cs1 = np.cumsum(s.jump1[0][order])
@@ -506,10 +494,6 @@ def simulate_levy_pair(triple, cluster, n_pts=2000, seed=0):
     idx = np.searchsorted(ts, all_times, side="right")
     v1 = np.where(idx > 0, cs1[np.maximum(idx - 1, 0)], 0.0) - all_times * drift1
     v2 = np.where(idx > 0, cs2[np.maximum(idx - 1, 0)], 0.0) - all_times * drift2
-    if all_times[0] != 0.0:
-        all_times = np.concatenate([[0.0], all_times])
-        v1 = np.concatenate([[0.0], v1])
-        v2 = np.concatenate([[0.0], v2])
     meta = {"l1_total": float(cs1[-1] - drift1), "l2_total": float(cs2[-1] - drift2)}
     return JointPathPair(
         l1=CadlagPath(all_times, v1, STEP),

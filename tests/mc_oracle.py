@@ -4,7 +4,7 @@
 only for caps below the chunk's largest magnitude; the Pareto and cluster
 samplers draw signs by arithmetic on the uniform mask; and
 ``stable.levy_marginal_draws`` counts jump times unsorted and gathers the
-sorted jumps with one flat ``np.take``; ``stable._levy_series`` builds its
+sorted jumps with one flat ``np.take``; ``stable._series_blocks`` builds its
 points and squares in place and draws one sign per point in place of a
 marks array; the series is built in blocks of draws, not as one batch;
 and the i.i.d. model is the order-0 ``LinearSpec``, which

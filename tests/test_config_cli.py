@@ -354,6 +354,12 @@ class TestConvergeExitCodes:
             "selfnorm", ["model.alpha=1.9", "run.n_grid=100", "run.replicates=200",
                          "run.limit_draws=200"], 2, "error: series tail too heavy",
         ),
+        # half an exceedance in 10 points leaves none inside a complete block
+        "theta_no_block_exceedances": (
+            "theta", ["run.theta_n=10", "run.theta_exceedances=0.5",
+                      "run.theta_replicates=3"], 2,
+            "error: no exceedances inside complete blocks",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))

@@ -68,7 +68,7 @@ class TestLevyMarginalDraws:
         )
         t_grid = [0.0, 1e-4, 0.25, 0.5, 1.0]
         got = stable.levy_marginal_draws(triple, cluster, t_grid, 300, n_pts=1000, seed=5)
-        series = stable._levy_series(triple, cluster, (300,), 1000, 5)
+        series = oracle.levy_series(triple, cluster, (300,), 1000, 5)
         want = oracle.marginal_draws(series, t_grid)
         assert got.keys() == want.keys()
         for key in want:
@@ -93,7 +93,7 @@ def _series_setup(spec):
 
 
 class TestLevySeries:
-    """``_levy_series`` builds its points and squares in place and draws one
+    """``_series_blocks`` builds its points and squares in place and draws one
     sign per point; the draws and paths of both samplers keep the bits of the
     former series, which built a marks array."""
 
@@ -112,23 +112,32 @@ class TestLevySeries:
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     @pytest.mark.parametrize("label,case", SERIES_CASES)
-    def test_levy_pair(self, monkeypatch, label, case, seed):
+    def test_levy_pair(self, label, case, seed):
+        # the path at its breakpoints is the whole-batch series of one draw
+        # read on the jump times and the drift grid
         cluster, triple = _series_setup(case)
         got, got_meta = stable.simulate_levy_pair(triple, cluster, n_pts=1000, seed=seed)
-        monkeypatch.setattr(stable, "_levy_series", oracle.levy_series)
-        want, want_meta = stable.simulate_levy_pair(triple, cluster, n_pts=1000, seed=seed)
-        assert got_meta == want_meta
+        series = oracle.levy_series(triple, cluster, (1,), 1000, seed)
+        times = np.union1d(series.times[0], np.linspace(0.0, 1.0, stable.DRIFT_GRID + 1))
+        want = oracle.marginal_draws(series, times)
         for coord in ("l1", "l2"):
-            assert np.array_equal(getattr(got, coord).times, getattr(want, coord).times)
-            assert np.array_equal(getattr(got, coord).values, getattr(want, coord).values)
-        assert (got.u, got.b1n, got.b2n) == (want.u, want.b1n, want.b2n)
+            path = getattr(got, coord)
+            assert path.times.tobytes() == times.tobytes()
+            assert path.values[:, 0].tobytes() == want[coord][0].tobytes()
+        assert got_meta == {
+            "l1_total": want["l1"][0, -1],
+            "l2_total": want["l2_total"][0],
+        }
+        assert (got.u, got.b1n, got.b2n) == (
+            series.u[0], series.drift1[0], series.drift2[0]
+        )
 
     @pytest.mark.parametrize("batch", [(1,), (50,)])
     @pytest.mark.parametrize("label,case", SERIES_CASES)
     def test_series_fields(self, label, case, batch):
         # the truncation level is read before pts is squared in place
         cluster, triple = _series_setup(case)
-        got = stable._levy_series(triple, cluster, batch, 1000, 3)
+        _lo, got = next(stable._series_blocks(triple, cluster, *batch, 1000, 3))
         want = oracle.levy_series(triple, cluster, batch, 1000, 3)
         for name, value in want._asdict().items():
             assert np.array_equal(getattr(got, name), value), name

@@ -30,7 +30,7 @@ from m1lab.models import (
     solve_garch_alpha,
     stream_seed,
 )
-from m1lab.stable import _levy_series, triple_from_cluster
+from m1lab.stable import _series_blocks, triple_from_cluster
 from m1lab.tailstats import BlockingScheme, hill_alpha, sign_switch_diagnostic
 
 
@@ -167,7 +167,8 @@ class TestClusterLaw:
         # each series jump is +-point, positive w.p. p
         cl = ClusterDistribution(np.array([1.0]), 0.7)
         assert cl.shape.tolist() == [1.0]
-        s = _levy_series(triple_from_cluster(0.8, 1.0, cl), cl, (4,), 1000, 20240503)
+        tr = triple_from_cluster(0.8, 1.0, cl)
+        _lo, s = next(_series_blocks(tr, cl, 4, 1000, 20240503))
         assert np.array_equal(np.square(s.jump1), s.jump2)
         assert np.mean(s.jump1 > 0) == pytest.approx(0.7, abs=0.03)
 
@@ -179,7 +180,7 @@ class TestClusterLaw:
         lin = LinearSpec((1.0, 0.5), RegVarSpec(1.0, p=1.0))
         cl = linear_cluster_law(lin)
         tr = triple_from_cluster(1.0, linear_extremal_index(lin), cl)
-        s = _levy_series(tr, cl, (1,), 1000, 20240503)
+        _lo, s = next(_series_blocks(tr, cl, 1, 1000, 20240503))
         assert np.all(s.jump1 >= 0.0)
 
     def test_marginal_consistency_identity(self):

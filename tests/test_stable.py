@@ -17,7 +17,7 @@ from m1lab.models import (
 from m1lab.stable import (
     CharTriple,
     StableError,
-    _levy_series,
+    _series_blocks,
     charfn_stable,
     cms_sampler,
     gamma1_for,
@@ -212,7 +212,7 @@ class TestSeries:
         lin = LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=1.0))
         cl = linear_cluster_law(lin)
         tr = triple_from_cluster(0.8, linear_extremal_index(lin), cl)
-        s = _levy_series(tr, cl, (1,), 1200, 9)
+        _lo, s = next(_series_blocks(tr, cl, 1, 1200, 9))
         assert set(np.flatnonzero(s.jump1)) <= set(np.flatnonzero(s.jump2))
 
     def test_npts_floor(self):
