@@ -25,9 +25,9 @@ the best of ``REPEAT`` fresh interpreters.  ``peak_mb`` is the median of
 the peaks of the memory Python and numpy allocate during ``REPEAT`` more,
 untimed runs of the config, as tracemalloc reports them, so tracing does
 not slow the timed runs; ``peak_mb_range`` holds their least and largest.
-The peaks of identical runs differ by several MB: tracemalloc counts every
-thread, and the Karamata sums' chunk buffers overlap the main thread's own
-peak by a varying amount (the likely spread).  With ``--record`` one point
+The suite runs on one thread, and on a 2-vCPU machine the peaks of
+identical runs of the four configs above agree to 0.1 MB; the range shows
+whether that still holds.  With ``--record`` one point
 per config is appended to BENCH_suite.json at the repository root, with the
 same environment fields as BENCH_kernels.json.  Compare points only when
 machine and route match.

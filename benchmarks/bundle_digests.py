@@ -12,8 +12,13 @@ order-0 model ``model.coeffs=2.0`` at ``model.alpha=1.5``; ``--full``
 adds the default config (about 40 s).  Each config runs
 ``lab.run_full_suite`` once into a temporary directory, and the script
 prints one ``config file sha256`` line for report.jsonl, manifest.json and
-each paths/*.csv.  Run it at two commits and ``diff`` the outputs;
-summary.txt holds runtimes and is left out.
+each paths/*.csv.  After the report.jsonl line come one
+``config report.jsonl:<check> sha256`` line per ``check`` value of its
+rows, over that value's lines in file order, in order of first appearance
+(rows with no ``check`` key, the diagnostics rows, share
+``report.jsonl:-``), so a diff names the checks whose rows moved.  Run it
+at two commits and ``diff`` the outputs; summary.txt holds runtimes and is
+left out.
 
 The suite's bundles reach the metrics only through ``contrast``, on step
 pairs, so the script also prints one ``metrics kind sha256`` line per pair
@@ -48,6 +53,7 @@ bundles hold only one ``paths/limit_pair.csv`` per config.
 import argparse
 import glob
 import hashlib
+import json
 import os
 import tempfile
 
@@ -75,8 +81,19 @@ VARIANTS = [
 ]
 
 
+def _check_digests(report):
+    """(report.jsonl:<check>, sha256) over each check value's lines of the
+    report's bytes, in order of first appearance."""
+    by_check = {}
+    for line in report.splitlines(keepends=True):
+        by_check.setdefault(json.loads(line).get("check", "-"), []).append(line)
+    return [(f"report.jsonl:{check}", hashlib.sha256(b"".join(lines)).hexdigest())
+            for check, lines in by_check.items()]
+
+
 def bundle_digests(text, overrides):
-    """(file, sha256) of the bundle's data files, in a fixed order."""
+    """(file, sha256) of the bundle's data files, in a fixed order, with the
+    per-check lines of report.jsonl after its own."""
     cfg, _ = config.parse_config(text, overrides=overrides)
     with tempfile.TemporaryDirectory() as outdir:
         lab.run_full_suite(cfg, outdir=outdir)
@@ -86,7 +103,10 @@ def bundle_digests(text, overrides):
         out = []
         for name in names:
             with open(os.path.join(outdir, name), "rb") as f:
-                out.append((name, hashlib.sha256(f.read()).hexdigest()))
+                data = f.read()
+            out.append((name, hashlib.sha256(data).hexdigest()))
+            if name == "report.jsonl":
+                out += _check_digests(data)
     return out
 
 

@@ -91,6 +91,8 @@ SCHEMA = {
         "karamata_alphas": (_as_float_list, (0.5,)),
         "karamata_u_grid": (_as_float_list, (0.05, 0.1, 0.5)),
         "karamata_n": (_as_int, 10**6),
+        # retired: the Karamata check is exact and reads no draw count; the
+        # key stays so that existing configs parse and keep their digests
         "karamata_mc": (_as_int, 10**8),
         "slutsky_alpha": (_as_float, 0.5),
         "slutsky_n": (_as_int, 10**4),

@@ -4,8 +4,9 @@ Limit-topology convergence cannot be tested path-coupled from independent
 replicates, so the checks decompose it into (a) fixed-time marginal
 distribution comparisons against simulated limit draws, (b) cluster-collapse
 distances under the jump-matching vs graph-matching topologies, and (c) the
-analytic truncated-moment limits and the small-jump tail bound.  That
-decomposition statement is written into every report header.
+analytic truncated-moment limits, against the exact finite-n moments of
+the unit Pareto, and the small-jump tail bound.  That decomposition
+statement is written into every report header.
 
 Every check consumes an :class:`~m1lab.config.ExperimentConfig`; verdict
 thresholds come exclusively from the config's tolerances.  A check's
@@ -26,7 +27,6 @@ import functools
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +42,11 @@ from .models import (
     model_positive_weight,
     replicate_samples,
     sample_model,
-    seeded_rng,
     stream_seed,
 )
 from .paths import j1_distance, m1_distance_detailed
 from .sumproc import (
+    _pareto_truncated_abs_moment,
     build_Ln,
     centering_constants,
     collapse_clusters,
@@ -323,91 +323,27 @@ def run_j1_vs_m1_contrast(config):
     return res
 
 
-def _karamata_sums(rng, alpha, a_n, u_grid, total):
-    """Sums over ``total`` stratified unit-Pareto magnitudes of those at most
-    u a_n, and of their squares, per u of the grid.
+def run_karamata_check(config):
+    """Exact finite-n truncated moments of the unit Pareto against their
+    Karamata limits.
 
-    Stratum k draws (k + U) / total and maps it through the Pareto
-    quantile.  Each chunk of strata is built once, in reused buffers; a cap
-    at or above the chunk's largest magnitude keeps every value in order,
-    so it takes the chunk's full sums, and only smaller caps mask.
-    """
-    chunk = min(10**6, total)
-    strata = np.arange(chunk, dtype=float)
-    mag_buf = np.empty(chunk)
-    sq_buf = np.empty(chunk)
-    sums1 = {u: 0.0 for u in u_grid}
-    sums2 = {u: 0.0 for u in u_grid}
-    done = 0
-    while done < total:
-        m = min(chunk, total - done)
-        mag = mag_buf[:m]
-        sq = sq_buf[:m]
-        rng.random(out=mag)
-        # ((done + k) + U) / total, rounded in the order it always was
-        np.add(strata[:m], done, out=sq)
-        np.add(sq, mag, out=mag)
-        np.divide(mag, total, out=mag)
-        np.subtract(1.0, mag, out=mag)
-        np.power(mag, -1.0 / alpha, out=mag)
-        np.square(mag, out=sq)
-        top = mag.max()
-        full1 = float(mag.sum())
-        full2 = float(sq.sum())
-        # a u listed twice shares one entry, so it is summed once
-        for u in sums1:
-            cap = u * a_n
-            if cap >= top:
-                sums1[u] += full1
-                sums2[u] += full2
-            else:
-                kept = mag <= cap
-                sums1[u] += float(mag[kept].sum())
-                sums2[u] += float(sq[kept].sum())
-        done += m
-    return sums1, sums2
-
-
-def _karamata_alpha_sums(config, alpha):
-    """(a_n, sums1, sums2) of one alpha of the Karamata grid, drawn from that
-    alpha's own stream.
-
-    It calls only numpy and the RNG, none of the public functions that
-    m1bench's span tracer wraps (its span stack is shared by all threads),
-    so the suite runs it on a background thread beside the other checks.
-    """
-    rng = seeded_rng(stream_seed(config.seed, f"karamata-{alpha}"))
-    a_n = config.karamata_n ** (1.0 / alpha)
-    sums1, sums2 = _karamata_sums(
-        rng, alpha, a_n, config.karamata_u_grid, config.karamata_mc
-    )
-    return a_n, sums1, sums2
-
-
-def run_karamata_check(config, sums=None):
-    """Monte Carlo truncated moments against their closed-form limits.
-
-    Estimates n E[(|X|/a_n) 1{|X| <= u a_n}] and the squared version with a
-    stratified sampler, comparing against u^{1-alpha} alpha/(1-alpha) and
-    u^{2-alpha} alpha/(2-alpha).  ``sums`` holds one future of
-    :func:`_karamata_alpha_sums` per alpha of the grid, in order, when the
-    suite computes them in the background; without it the sums are
-    computed here.
+    n E[(|X|/a_n) 1{|X| <= u a_n}] and the squared version, with
+    a_n = n^{1/alpha}, from the closed form of
+    :func:`~m1lab.sumproc._pareto_truncated_abs_moment`, against
+    u^{1-alpha} alpha/(1-alpha) and u^{2-alpha} alpha/(2-alpha).  The
+    relative errors are the support-boundary terms n^{1-1/alpha} /
+    u^{1-alpha} and n^{1-2/alpha} / u^{2-alpha}; the check draws nothing.
     """
     res = CheckResult(
         check="karamata", thresholds={"karamata_rel": config.tolerances["karamata_rel"]}
     )
     n = config.karamata_n
-    total = config.karamata_mc
     ok = True
-    for i, alpha in enumerate(config.karamata_alphas):
-        if sums is None:
-            a_n, sums1, sums2 = _karamata_alpha_sums(config, alpha)
-        else:
-            a_n, sums1, sums2 = sums[i].result()
+    for alpha in config.karamata_alphas:
+        a_n = n ** (1.0 / alpha)
         for u in config.karamata_u_grid:
-            est1 = n * (sums1[u] / total) / a_n
-            est2 = n * (sums2[u] / total) / (a_n * a_n)
+            est1 = n * _pareto_truncated_abs_moment(alpha, 1.0, u * a_n) / a_n
+            est2 = n * _pareto_truncated_abs_moment(alpha, 2.0, u * a_n) / (a_n * a_n)
             lim1 = u ** (1.0 - alpha) * alpha / (1.0 - alpha)
             lim2 = u ** (2.0 - alpha) * alpha / (2.0 - alpha)
             rel1 = abs(est1 - lim1) / lim1
@@ -420,7 +356,6 @@ def run_karamata_check(config, sums=None):
                     "alpha": alpha,
                     "u": u,
                     "n": n,
-                    "mc_draws": total,
                     "estimate_first": est1,
                     "limit_first": lim1,
                     "rel_err_first": rel1,
@@ -568,61 +503,34 @@ def run_full_suite(config, outdir=None):
     Bundle layout: report.jsonl (one record per check row), paths/*.csv
     (sampled paths for plotting), summary.txt (verdict table, runtimes),
     manifest.json (config digest, seed, versions).  Errors in one check are
-    recorded and the suite continues.
-
-    The Karamata sums run on one background thread from the start, beside
-    the other checks; each alpha draws its own stream and the check reads
-    the results in grid order, so the rows are those of the check run
-    alone.  The check runs after slutsky and theta, just before
-    diagnostics, so the sums are usually done when it reads them; the
-    report still lists results and runtimes in the order fidi, selfnorm,
-    contrast, karamata, slutsky, theta, diagnostics.
-    ``runtime["karamata"]`` is then the check's wait for the sums and
-    ``runtime["karamata_background"]`` the thread's compute time.  fidi and
-    selfnorm share one cached :func:`_marginal_pass`, computed inside fidi;
-    a pass that raises is not cached, so selfnorm recomputes it and records
-    the same error (repeated work, on failure only).
+    recorded and the suite continues.  The checks run in report order on
+    the calling thread.  fidi and selfnorm share one cached
+    :func:`_marginal_pass`, computed inside fidi; a pass that raises is not
+    cached, so selfnorm recomputes it and records the same error (repeated
+    work, on failure only).
     """
     report = ConvergenceReport(
         header=REPORT_HEADER, config_digest=config.digest(), seed=config.seed
     )
-    background = []
-
-    def karamata_sums(alpha):
+    marginal_pass = functools.cache(functools.partial(_marginal_pass, config))
+    checks = {
+        "fidi": lambda cfg: run_fidi_convergence(cfg, shared=marginal_pass),
+        "selfnorm": lambda cfg: run_selfnorm_convergence(cfg, shared=marginal_pass),
+        "contrast": run_j1_vs_m1_contrast,
+        "karamata": run_karamata_check,
+        "slutsky": run_slutsky_bound_check,
+        "theta": run_theta_recovery,
+        "diagnostics": run_tail_diagnostics,
+    }
+    for name, check in checks.items():
         t0 = time.perf_counter()
         try:
-            return _karamata_alpha_sums(config, alpha)
-        finally:
-            background.append(time.perf_counter() - t0)
-
-    marginal_pass = functools.cache(functools.partial(_marginal_pass, config))
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        karamata = [pool.submit(karamata_sums, alpha) for alpha in config.karamata_alphas]
-        # in report order
-        checks = {
-            "fidi": lambda cfg: run_fidi_convergence(cfg, shared=marginal_pass),
-            "selfnorm": lambda cfg: run_selfnorm_convergence(cfg, shared=marginal_pass),
-            "contrast": run_j1_vs_m1_contrast,
-            "karamata": lambda cfg: run_karamata_check(cfg, sums=karamata),
-            "slutsky": run_slutsky_bound_check,
-            "theta": run_theta_recovery,
-            "diagnostics": run_tail_diagnostics,
-        }
-        done = {}
-        for name in ("fidi", "selfnorm", "contrast", "slutsky", "theta", "karamata",
-                     "diagnostics"):
-            t0 = time.perf_counter()
-            try:
-                res = checks[name](config)
-            except Exception as exc:  # record and continue per the suite contract
-                res = CheckResult(check=name, verdicts={"completed": False})
-                res.notes.append(f"error: {type(exc).__name__}: {exc}")
-            done[name] = (res, time.perf_counter() - t0)
-    for name in checks:
-        report.results.append(done[name][0])
-        report.runtime[name] = done[name][1]
-    report.runtime["karamata_background"] = sum(background)
+            res = check(config)
+        except Exception as exc:  # record and continue per the suite contract
+            res = CheckResult(check=name, verdicts={"completed": False})
+            res.notes.append(f"error: {type(exc).__name__}: {exc}")
+        report.results.append(res)
+        report.runtime[name] = time.perf_counter() - t0
     if outdir is not None:
         write_bundle(report, config, outdir)
     return report

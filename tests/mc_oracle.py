@@ -1,15 +1,13 @@
 """The former Monte Carlo loops of m1lab, kept as the test oracle.
 
-``lab._karamata_sums`` builds each chunk of Karamata strata once and masks
-only for caps below the chunk's largest magnitude; the Pareto and cluster
-samplers draw signs by arithmetic on the uniform mask; and
-``stable.levy_marginal_draws`` counts jump times unsorted and gathers the
-sorted jumps with one flat ``np.take``; ``stable._series_blocks`` builds its
-points and squares in place and draws one sign per point in place of a
-marks array; the series is built in blocks of draws, not as one batch;
-and the i.i.d. model is the order-0 ``LinearSpec``, which
-replaced its own sampler ``sample_iid``.  These are the forms they
-replaced, copied unchanged.  ``tests/test_mc_oracle.py`` asserts that both give the same
+The Pareto and cluster samplers draw signs by arithmetic on the uniform
+mask; ``stable.levy_marginal_draws`` counts jump times unsorted and gathers
+the sorted jumps with one flat ``np.take``; ``stable._series_blocks``
+builds its points and squares in place and draws one sign per point in
+place of a marks array; the series is built in blocks of draws, not as one
+batch; and the i.i.d. model is the order-0 ``LinearSpec``, which replaced
+its own sampler ``sample_iid``.  These are the forms they replaced, copied
+unchanged.  ``tests/test_mc_oracle.py`` asserts that both give the same
 bits.
 """
 
@@ -18,25 +16,6 @@ import math
 import numpy as np
 
 from m1lab.stable import StableError, _mark_drift_rate, _Series
-
-
-def karamata_sums(rng, alpha, a_n, u_grid, total):
-    # A mask, a compress, a sum, a square and a second sum per u and chunk.
-    chunk = 10**6
-    sums1 = {u: 0.0 for u in u_grid}
-    sums2 = {u: 0.0 for u in u_grid}
-    done = 0
-    while done < total:
-        m = min(chunk, total - done)
-        u_strat = (done + np.arange(m) + rng.random(m)) / total
-        mag = (1.0 - u_strat) ** (-1.0 / alpha)
-        for u in u_grid:
-            cap = u * a_n
-            kept = mag[mag <= cap]
-            sums1[u] += float(kept.sum())
-            sums2[u] += float((kept**2).sum())
-        done += m
-    return sums1, sums2
 
 
 def pareto_draws(rv, n, rng):

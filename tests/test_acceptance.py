@@ -114,7 +114,7 @@ for _a in (0.5, 0.8):
 
 @pytest.mark.parametrize("alpha,u", _KARAMATA_CELLS)
 def test_criterion_03_karamata(alpha, u):
-    """Monte Carlo truncated moments within 5% of the closed-form limits."""
+    """Exact finite-n truncated moments within 5% of their Karamata limits."""
     t0 = time.perf_counter()
     cfg = replace_config(
         default_config(),

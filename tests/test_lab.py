@@ -22,7 +22,6 @@ def small_config(**over):
         n_pts=1200,
         contrast_n_grid=(100, 200),
         contrast_replicates=10,
-        karamata_mc=4 * 10**6,
         slutsky_replicates=100,
         slutsky_n=2000,
         theta_replicates=6,
@@ -158,24 +157,45 @@ class TestContrast:
 
 class TestKaramata:
     def test_u_one_exact_constant(self):
-        cfg = small_config(karamata_alphas=(0.5,), karamata_u_grid=(1.0,), karamata_mc=10**7)
+        cfg = small_config(karamata_alphas=(0.5,), karamata_u_grid=(1.0,))
         res = lab.run_karamata_check(cfg)
         row = res.rows[0]
         assert row["limit_first"] == pytest.approx(0.5 / 0.5)
         assert row["rel_err_first"] <= 0.05
 
     def test_limits_from_formula(self):
-        cfg = small_config(karamata_alphas=(0.5,), karamata_u_grid=(0.1,), karamata_mc=10**6)
+        cfg = small_config(karamata_alphas=(0.5,), karamata_u_grid=(0.1,))
         res = lab.run_karamata_check(cfg)
         row = res.rows[0]
         assert row["limit_first"] == pytest.approx(0.31623, abs=1e-4)
         assert row["limit_second"] == pytest.approx(0.010541, abs=1e-5)
 
     def test_repeated_u_summed_once(self):
-        cfg = small_config(karamata_alphas=(0.5,), karamata_n=1000, karamata_mc=10**5)
+        cfg = small_config(karamata_alphas=(0.5,), karamata_n=1000)
         once = lab.run_karamata_check(replace_config(cfg, karamata_u_grid=(0.5,))).rows
         twice = lab.run_karamata_check(replace_config(cfg, karamata_u_grid=(0.5, 0.5))).rows
         assert twice == once + once
+
+    def test_rel_err_is_support_boundary_term(self):
+        # the exact finite-n first moment misses its limit by the
+        # support-boundary term n^{1-1/alpha} u^{alpha-1} (notes/decisions.md).
+        # rel_err_first is |est - lim| / lim with est and lim near 1, so the
+        # difference carries a few ulps of lim: the abs bound covers alpha
+        # 0.5, where the term is 1.4-4.5e-6
+        n = 10**6
+        cfg = small_config(karamata_alphas=(0.5, 0.8), karamata_u_grid=(0.05, 0.1, 0.5),
+                           karamata_n=n)
+        rows = lab.run_karamata_check(cfg).rows
+        assert [(r["alpha"], r["u"]) for r in rows] == [
+            (a, u) for a in (0.5, 0.8) for u in (0.05, 0.1, 0.5)
+        ]
+        for row in rows:
+            term = n ** (1.0 - 1.0 / row["alpha"]) * row["u"] ** (row["alpha"] - 1.0)
+            assert row["rel_err_first"] == pytest.approx(term, rel=1e-12, abs=1e-15)
+        for seed in (13, 20240503):
+            for mc in (1, 10**8):
+                again = lab.run_karamata_check(replace_config(cfg, seed=seed, karamata_mc=mc))
+                assert again.rows == rows
 
 
 class TestSlutsky:
@@ -326,7 +346,7 @@ class TestSuite:
 
 
 def overlap_config(**over):
-    """A suite of a second or two, with two Karamata alphas on the thread."""
+    """A suite of a second or two, with two Karamata alphas."""
     return small_config(
         n_grid=(100, 400),
         replicates=200,
@@ -335,7 +355,6 @@ def overlap_config(**over):
         contrast_n_grid=(30,),
         contrast_replicates=2,
         karamata_alphas=(0.5, 0.8),
-        karamata_mc=2 * 10**6,
         slutsky_replicates=20,
         slutsky_n=1000,
         theta_replicates=2,
@@ -378,7 +397,7 @@ TRACED = [
 
 
 class TestKaramataOverlap:
-    """The suite computes the Karamata sums on one background thread."""
+    """The suite runs every check in report order on the calling thread."""
 
     CHECKS = ["fidi", "selfnorm", "contrast", "karamata", "slutsky", "theta", "diagnostics"]
 
@@ -389,19 +408,18 @@ class TestKaramataOverlap:
         alone = lab.run_karamata_check(cfg)
         assert suite.rows == alone.rows
         assert suite.verdicts == alone.verdicts
-        assert report.runtime["karamata_background"] > 0.0
 
     def test_error_in_thread_recorded(self, monkeypatch):
         def fail(*args):
-            raise RuntimeError("forced in the background")
+            raise RuntimeError("forced in the check")
 
-        monkeypatch.setattr(lab, "_karamata_sums", fail)
+        monkeypatch.setattr(lab, "_pareto_truncated_abs_moment", fail)
         report = lab.run_full_suite(overlap_config())
         assert [r.check for r in report.results] == self.CHECKS
         karamata = report.results[self.CHECKS.index("karamata")]
         assert karamata.verdicts == {"completed": False}
         assert karamata.rows == []
-        assert karamata.notes == ["error: RuntimeError: forced in the background"]
+        assert karamata.notes == ["error: RuntimeError: forced in the check"]
         for res in report.results:
             if res.check != "karamata":
                 assert "completed" not in res.verdicts, res.check
@@ -417,14 +435,16 @@ class TestKaramataOverlap:
 
             return wrapper
 
-        for name in ("run_karamata_check", "run_slutsky_bound_check",
-                     "run_theta_recovery", "run_tail_diagnostics"):
+        entry_points = ["run_fidi_convergence", "run_selfnorm_convergence",
+                        "run_j1_vs_m1_contrast", "run_karamata_check",
+                        "run_slutsky_bound_check", "run_theta_recovery",
+                        "run_tail_diagnostics"]
+        for name in entry_points:
             monkeypatch.setattr(lab, name, logged(name, getattr(lab, name)))
         report = lab.run_full_suite(overlap_config())
-        assert order == ["run_slutsky_bound_check", "run_theta_recovery",
-                         "run_karamata_check", "run_tail_diagnostics"]
+        assert order == entry_points
         assert [r.check for r in report.results] == self.CHECKS
-        assert list(report.runtime) == self.CHECKS + ["karamata_background"]
+        assert list(report.runtime) == self.CHECKS
 
     def test_no_thread_left(self, tmp_path):
         before = set(threading.enumerate())
@@ -442,7 +462,7 @@ class TestKaramataOverlap:
             return wrapper
 
         modules = [m for key, m in sys.modules.items() if key.startswith("m1lab.")]
-        for mod_name, attr in TRACED + [("lab", "_karamata_sums")]:
+        for mod_name, attr in TRACED:
             original = getattr(sys.modules[f"m1lab.{mod_name}"], attr)
             wrapper = wrap(f"{mod_name}.{attr}", original)
             for mod in modules:
@@ -450,11 +470,8 @@ class TestKaramataOverlap:
                     if value is original:
                         monkeypatch.setattr(mod, key, wrapper)
         lab.run_full_suite(overlap_config(), outdir=str(tmp_path / "bundle"))
-        traced = [(name, main) for name, main in calls if name != "lab._karamata_sums"]
-        assert {name for name, _ in traced} >= {"lab.run_karamata_check", "lab.write_bundle"}
-        assert all(main for _, main in traced), [name for name, main in traced if not main]
-        # the sums themselves ran on the worker
-        assert [main for name, main in calls if name == "lab._karamata_sums"] == [False, False]
+        assert {name for name, _ in calls} >= {"lab.run_karamata_check", "lab.write_bundle"}
+        assert all(main for _, main in calls), [name for name, main in calls if not main]
 
 
 class TestMarginalPass:

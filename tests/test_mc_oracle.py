@@ -1,10 +1,10 @@
 """The Monte Carlo loops give the same bits as the forms they replaced.
 
-``mc_oracle`` holds the former Karamata chunk loop, the ``np.where`` sign
-draws and the whole-batch Lévy series with its ``take_along_axis`` gather.
-The new forms skip masks, sorts and branches, and build the series in
-blocks of draws, but keep every RNG draw and every summation order, so the
-only acceptable difference is none.
+``mc_oracle`` holds the ``np.where`` sign draws and the whole-batch Lévy
+series with its ``take_along_axis`` gather.  The new forms skip masks,
+sorts and branches, and build the series in blocks of draws, but keep every
+RNG draw and every summation order, so the only acceptable difference is
+none.
 """
 
 import tracemalloc
@@ -17,28 +17,6 @@ from m1lab import lab, stable
 from m1lab.clusters import ClusterDistribution
 from m1lab.config import default_config, replace_config
 from m1lab.models import LinearSpec, RegVarSpec, _pareto_draws, seeded_rng
-
-
-class TestKaramataSums:
-    # 2.5e6 strata leave a half chunk at the end.  At n = 10 and alpha =
-    # 0.5 the cap 0.05 a_n = 5 cuts the second of the three chunks, so the
-    # masked branch runs before the last chunk; the cap at u = 1e9 lies
-    # above every chunk, the last one included.
-    @pytest.mark.parametrize(
-        "mc,n", [(2_500_000, 10), (2_500_000, 1000), (2_500_000, 10**6), (1000, 10)]
-    )
-    def test_rows_equal_former_loop(self, monkeypatch, mc, n):
-        cfg = replace_config(
-            default_config(),
-            karamata_alphas=(0.5, 0.8),
-            karamata_u_grid=(0.05, 0.5, 1.0, 1e9),
-            karamata_n=n,
-            karamata_mc=mc,
-            seed=20240503 + n,
-        )
-        rows = lab.run_karamata_check(cfg).rows
-        monkeypatch.setattr(lab, "_karamata_sums", oracle.karamata_sums)
-        assert rows == lab.run_karamata_check(cfg).rows
 
 
 class TestSignDraws:
