@@ -5,11 +5,14 @@ Run:  python3 benchmarks/bench_kernels.py [--sizes 100 400] [--record]
 
 The decision kernels are timed on two input shapes:
 
-- ``contrast``: the inputs of the contrast check at n = 1000 (clustered
-  MA(1), coeffs 1 and 0.5, alpha = 0.8, one replicate): the normalized
-  partial-sum path against its block-collapsed version, over every radius
-  its bisection visits.  ``size`` is the two inputs' vertex (frechet) or
-  jump (j1) counts, and the time is that of the whole set of decisions.
+- ``contrast``: the inputs of the contrast check at n = 100 and n = 1000
+  (clustered MA(1), coeffs 1 and 0.5, alpha = 0.8, one replicate): the
+  normalized partial-sum path against its block-collapsed version, over
+  every radius its bisection visits.  ``size`` is the two inputs' vertex
+  (frechet) or jump (j1) counts in argument order, and the time is that of
+  the whole set of decisions.  The J1 pair comes long-first (at n = 100,
+  the path's jumps before the collapsed path's), so its rows show what the
+  kernel's sweep over the shorter list buys.
 - ``balanced``: two random step paths with ``size`` jumps each, at d = their
   uniform distance, where the sweep runs to the end and answers True.
 
@@ -41,7 +44,8 @@ from m1lab.paths import CadlagPath, completed_graph, uniform_distance
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORD = os.path.join(ROOT, "BENCH_kernels.json")
 CONTRAST = ["model.variant=linear", "model.coeffs=1.0, 0.5", "model.alpha=0.8",
-            "run.contrast_n_grid=1000", "run.contrast_replicates=1"]
+            "run.contrast_replicates=1"]
+CONTRAST_N = (100, 1000)
 LEVY_MODELS = [("iid", []), ("clustered", ["model.variant=linear", "model.coeffs=1.0, 0.5"])]
 REPEAT = 3
 
@@ -55,8 +59,8 @@ def best_of(fn):
     return best
 
 
-def contrast_calls():
-    """Arguments of every decision the contrast check makes at n = 1000."""
+def contrast_calls(n):
+    """Arguments of every decision the contrast check makes at n."""
     calls = {"frechet_feasible": [], "j1_feasible": []}
     originals = {name: getattr(kernels, name) for name in calls}
 
@@ -66,7 +70,7 @@ def contrast_calls():
             return originals[name](*args)
         return record
 
-    cfg, _ = config.parse_config("", overrides=CONTRAST)
+    cfg, _ = config.parse_config("", overrides=CONTRAST + [f"run.contrast_n_grid={n}"])
     try:
         for name in calls:
             setattr(kernels, name, recorder(name))
@@ -77,9 +81,9 @@ def contrast_calls():
     return calls
 
 
-def bench_contrast():
+def bench_contrast(n):
     rows = []
-    for name, calls in contrast_calls().items():
+    for name, calls in contrast_calls(n).items():
         fn = getattr(kernels, name)
         size = [len(calls[0][0]), len(calls[0][1 if name == "j1_feasible" else 2])]
 
@@ -189,7 +193,7 @@ def main():
                         help="append the rows to BENCH_kernels.json")
     args = parser.parse_args()
     rng = np.random.default_rng(0)
-    rows = bench_contrast()
+    rows = [row for n in CONTRAST_N for row in bench_contrast(n)]
     for n in args.sizes:
         rows += bench_balanced(rng, n)
     rows += bench_garch(rng, 200_000)

@@ -1,9 +1,14 @@
 """Inner-loop kernels behind the path metrics and the GARCH sampler.
 
 The two metric decision kernels are numpy sweeps: the strong-M1 free-space
-sweep runs one column of cells per step and the J1 alignment DP one row of
-states per step.  The GARCH recursion is a plain loop.  There is no
-compiled route; ``USE_NUMBA`` stays for the records that name the route.
+sweep runs one column of cells per step, over the curve with fewer
+segments, and the J1 alignment DP one row of states per step, over the
+shorter jump list.  The sweep takes the rows' segment geometry once per
+call and a column's top windows per coordinate against its one segment; a
+column's upward chain is an exact running max on complex keys
+(``notes/decisions.md``, "Strong-M1 decision kernel").  The GARCH recursion
+is a plain loop.  There is no compiled route; ``USE_NUMBA`` stays for the
+records that name the route.
 """
 
 import numpy as np
@@ -16,14 +21,22 @@ USE_NUMBA = False
 BAND_SLACK = 1e-9
 
 
-def _free_window(a, c0, c1, d):
+def _segments(c):
+    """The radius-free part of the windows against the segments
+    c[:, j] -> c[:, j + 1] of stacked (time, value) vertices: their start
+    points, which of them are flat, and the divisor (1 where flat)."""
+    c0 = c[:, :-1]
+    dc = c[:, 1:] - c0
+    flat = dc == 0.0
+    return c0, flat, np.where(flat, 1.0, dc)
+
+
+def _free_window(a, c0, flat, span, d):
     """Parameter window s in [0,1] with |a - (c0 + s*(c1-c0))| <= d.
 
-    Elementwise over broadcast arrays; an empty window is (1, -1).
+    ``flat`` and ``span`` come from ``_segments``.  Elementwise over
+    broadcast arrays; an empty window is (1, -1).
     """
-    dc = c1 - c0
-    flat = dc == 0.0
-    span = np.where(flat, 1.0, dc)
     lo = (a - d - c0) / span
     hi = (a + d - c0) / span
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
@@ -35,29 +48,43 @@ def _free_window(a, c0, c1, d):
     return lo, hi
 
 
-def _free_point_seg(a, c0, c1, d):
-    """Free window of points a against segments c0 -> c1 at radius d.
+def _seg_window(a, c0, c1, d):
+    """``_free_window`` of the points a against the one segment c0 -> c1.
 
-    Points and segment ends are stacked (time, value) on axis 0, so one
-    ``_free_window`` call gives both coordinates' windows; the result is
-    their intersection, (1, -1) when the time window is empty.
+    The ends are floats, so the flat case and the order of the two ends are
+    one branch each: for dc > 0 the lower end is (a - d - c0) / dc, since
+    rounding keeps a - d <= a + d, and for dc < 0 it is the other quotient.
     """
-    lo, hi = _free_window(a, c0, c1, d)
-    gone = lo[0] > hi[0]
-    return (
-        np.where(gone, 1.0, np.maximum(lo[0], lo[1])),
-        np.where(gone, -1.0, np.minimum(hi[0], hi[1])),
-    )
+    dc = c1 - c0
+    if dc == 0.0:
+        near = np.abs(a - c0) <= d
+        return np.where(near, 0.0, 1.0), np.where(near, 1.0, -1.0)
+    lo = (a - d - c0) / dc
+    hi = (a + d - c0) / dc
+    if dc < 0.0:
+        lo, hi = hi, lo
+    return np.maximum(lo, 0.0), np.minimum(hi, 1.0)
 
 
-def _boundary_climb(a, c, d):
+def _free_point_seg(a, segs, d):
+    """Free window of the point a against the segments ``segs`` at radius d.
+
+    The point is stacked (time, value) on axis 0, so one ``_free_window``
+    call gives both coordinates' windows; the result is their
+    intersection, empty (lo > hi) when either window is.
+    """
+    lo, hi = _free_window(a, *segs, d)
+    return np.maximum(lo[0], lo[1]), np.minimum(hi[0], hi[1])
+
+
+def _boundary_climb(a, segs, d):
     """Reach [0, hi] along a boundary of the diagram, climbing from the origin.
 
-    ``a`` is the corner point and ``c`` the other curve's vertices, both
-    stacked (time, value).  Returns the reached mask, a prefix of the
+    ``a`` is the corner point, stacked (time, value), and ``segs`` the other
+    curve's ``_segments``.  Returns the reached mask, a prefix of the
     segments, and the windows' hi.
     """
-    lo, hi = _free_point_seg(a, c[:, :-1], c[:, 1:], d)
+    lo, hi = _free_point_seg(a, segs, d)
     free = (lo <= 0.0) & (lo <= hi)
     through = np.logical_and.accumulate(free & (hi >= 1.0))
     reached = free.copy()
@@ -73,28 +100,27 @@ def _top_chain(start_alive, has_l, tlo, thi):
     T_{-1} is the bottom boundary's reach [0, ...], empty unless
     ``start_alive``.  So T_j.lo is a running max over segments that restart
     at every cell with left reach, and a cell dies when that max exceeds
-    thi; it stays dead until the next restart.  The max is taken on integer keys seg * m + rank, which order
-    exactly like the values within a segment and never mix segments.
+    thi; it stays dead until the next restart.  Both running quantities are
+    one ``np.maximum.accumulate`` over keys that put the segment number
+    first: the max is taken on the complex keys seg + 1j * lo, which numpy
+    orders lexicographically, so it is the very float that was largest in
+    the segment; a death is the integer key 2 * seg + 1 against 2 * seg.
     """
     m = tlo.size + 1
-    vals = np.empty(m)
-    vals[0] = 0.0
-    vals[1:] = tlo
     restart = np.empty(m, dtype=bool)
     restart[0] = True
     restart[1:] = has_l
-    seg = np.cumsum(restart) - 1
-    order = np.argsort(vals, kind="stable")
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m)
-    base = seg * m
-    running = vals[order[np.maximum.accumulate(base + rank) - base]]
-    kill = np.empty(m, dtype=bool)
+    seg = np.cumsum(restart)
+    keys = np.empty(m, dtype=complex)
+    keys.real = seg
+    keys.imag[0] = 0.0
+    keys.imag[1:] = tlo
+    running = np.maximum.accumulate(keys).imag
+    kill = np.empty(m, dtype=np.int64)
     kill[0] = not start_alive
-    kill[1:] = running[1:] > thi
-    kills = np.cumsum(kill)
-    before = (kills - kill)[restart]
-    return (kills == before[seg])[1:]
+    np.greater(running[1:], thi, out=kill[1:])
+    base = 2 * seg
+    return (np.maximum.accumulate(base + kill) == base)[1:]
 
 
 def frechet_feasible(pt, pv, qt, qv, d):
@@ -108,6 +134,8 @@ def frechet_feasible(pt, pv, qt, qv, d):
     range lies within d (plus ``BAND_SLACK``) of the column's: outside that
     band both edge windows of a cell are empty.  It stops as soon as no
     right edge of a column is reachable and the bottom boundary is spent.
+    The rows' segment geometry is computed once per call; a column's top
+    windows are those of its one segment, taken per coordinate.
     """
     p = pt.shape[0] - 1
     q = qt.shape[0] - 1
@@ -121,23 +149,28 @@ def frechet_feasible(pt, pv, qt, qv, d):
 
     ps = np.stack([pt, pv])
     qs = np.stack([qt, qv])
-    bottom, _ = _boundary_climb(qs[:, :1], ps, d)
+    q0, qflat, qspan = rows = _segments(qs)
+    bottom, _ = _boundary_climb(qs[:, :1], _segments(ps), d)
     n_bottom = int(bottom.sum())
-    left, left_hi = _boundary_climb(ps[:, :1], qs, d)
+    left, left_hi = _boundary_climb(ps[:, :1], rows, d)
     # reach on the left edges of the current column
     llo = np.where(left, 0.0, 1.0)
     lhi = np.where(left, left_hi, -1.0)
     # rows [a, b) of each column; never empty, since both graphs run from
-    # time 0 to time 1 and the corner checks passed
+    # time 0 to time 1 and the corner checks passed.  Both ends only grow
+    # with i, so a row a column leaves is never read again.
     first = np.searchsorted(qt[1:], pt[:-1] - (d + BAND_SLACK), side="left")
     stop = np.searchsorted(qt[:-1], pt[1:] + (d + BAND_SLACK), side="right")
-    prev_a, prev_b = 0, q
+    ptl, pvl = pt.tolist(), pv.tolist()
     for i in range(p):
         a, b = int(first[i]), int(stop[i])
-        p0, p1 = ps[:, i : i + 1], ps[:, i + 1 : i + 2]
-        q0, q1 = qs[:, a:b], qs[:, a + 1 : b + 1]
-        rlo, rhi = _free_point_seg(p1, q0, q1, d)
-        tlo, thi = _free_point_seg(q1, p0, p1, d)
+        rlo, rhi = _free_point_seg(
+            ps[:, i + 1 : i + 2], (q0[:, a:b], qflat[:, a:b], qspan[:, a:b]), d
+        )
+        tlo, thi = _seg_window(qt[a + 1 : b + 1], ptl[i], ptl[i + 1], d)
+        vlo, vhi = _seg_window(qv[a + 1 : b + 1], pvl[i], pvl[i + 1], d)
+        tlo = np.maximum(tlo, vlo)
+        thi = np.minimum(thi, vhi)
         cur_llo = llo[a:b]
         has_l = cur_llo <= lhi[a:b]
         start_alive = a == 0 and i < n_bottom
@@ -145,17 +178,15 @@ def frechet_feasible(pt, pv, qt, qv, d):
         has_b = np.empty(b - a, dtype=bool)
         has_b[0] = start_alive
         has_b[1:] = alive[:-1]
-        nrlo = np.where(has_b, rlo, np.where(has_l, np.maximum(rlo, cur_llo), 1.0))
+        # a cell with neither reach gets hi = -1, so its lo needs no case
+        nrlo = np.where(has_b, rlo, np.maximum(rlo, cur_llo))
         nrhi = np.where(has_b | has_l, rhi, -1.0)
         if i == p - 1:
             right_ok = b == q and nrlo[-1] <= nrhi[-1] and nrhi[-1] >= 1.0
             top_ok = b == q and alive[-1] and thi[-1] >= 1.0
             return bool(right_ok or top_ok)
-        llo[prev_a:prev_b] = 1.0
-        lhi[prev_a:prev_b] = -1.0
         llo[a:b] = nrlo
         lhi[a:b] = nrhi
-        prev_a, prev_b = a, b
         if i + 1 >= n_bottom and not np.any(nrlo <= nrhi):
             return False
     return False
@@ -170,12 +201,15 @@ def j1_feasible(tx, sy, levx, levy, d):
     intermediate level.  Greedy earliest placement is optimal because a
     smaller last-event position never hurts later moves.
 
-    Row j is swept in two vector steps.  Emitting y's jumps alone is a
-    forward chain in k, and since jump times increase strictly it is the
-    boolean recurrence A_k = start_k or (A_{k-1} and lev_{k-1}), solved
-    with last-index running maxima.  Emitting x's jump j (alone or with a
-    y jump) is elementwise in k.
+    The decision is symmetric in the two paths, so the rows run over the
+    shorter jump list.  Row j is swept in two vector steps.  Emitting y's
+    jumps alone is a forward chain in k, and since jump times increase
+    strictly it is the boolean recurrence A_k = start_k or (A_{k-1} and
+    lev_{k-1}), solved with last-index running maxima.  Emitting x's jump j
+    (alone or with a y jump) is elementwise in k.
     """
+    if tx.shape[0] > sy.shape[0]:
+        tx, sy, levx, levy = sy, tx, levy, levx
     J = tx.shape[0]
     K = sy.shape[0]
     INF = 1e300

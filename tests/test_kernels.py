@@ -27,8 +27,42 @@ def _assert_m1_same(x, y, d):
 def _assert_j1_same(x, y, d):
     tx, levx = _jump_sequence(x)
     sy, levy = _jump_sequence(y)
+    _assert_j1_args_same(tx, sy, levx, levy, d)
+
+
+def _assert_j1_args_same(tx, sy, levx, levy, d):
+    # the kernel sweeps the shorter jump list, so one of the two orders
+    # swaps the paths: both must give the oracle's decision in this order
     want = bool(oracle._j1_feasible(tx, sy, levx, levy, d))
     assert kernels.j1_feasible(tx, sy, levx, levy, d) is want, d
+    assert kernels.j1_feasible(sy, tx, levy, levx, d) is want, d
+    return want
+
+
+def _contrast_calls(monkeypatch, name):
+    """Arguments of every ``name`` decision of the contrast check on a
+    clustered MA(1) at n = 100 and 300."""
+    calls = []
+    feasible = getattr(kernels, name)
+
+    def recording(*args):
+        calls.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(kernels, name, recording)
+    cfg, _ = config.parse_config(
+        "",
+        overrides=[
+            "model.variant=linear",
+            "model.coeffs=1.0, 0.5",
+            "model.alpha=0.8",
+            "run.contrast_n_grid=100, 300",
+            "run.contrast_replicates=2",
+        ],
+    )
+    lab.run_j1_vs_m1_contrast(cfg)
+    monkeypatch.undo()
+    return calls
 
 
 def _radii(x, y, fracs):
@@ -95,30 +129,12 @@ class TestFrechetOracle:
 
     def test_contrast_bisection_radii(self, monkeypatch):
         # every decision the contrast check asks for, at n = 100 and 300
-        calls = []
-        feasible = kernels.frechet_feasible
-
-        def recording(pt, pv, qt, qv, d):
-            calls.append((pt, pv, qt, qv, d))
-            return feasible(pt, pv, qt, qv, d)
-
-        monkeypatch.setattr(kernels, "frechet_feasible", recording)
-        cfg, _ = config.parse_config(
-            "",
-            overrides=[
-                "model.variant=linear",
-                "model.coeffs=1.0, 0.5",
-                "model.alpha=0.8",
-                "run.contrast_n_grid=100, 300",
-                "run.contrast_replicates=2",
-            ],
-        )
-        lab.run_j1_vs_m1_contrast(cfg)
+        calls = _contrast_calls(monkeypatch, "frechet_feasible")
         assert len(calls) > 40
         decisions = set()
         for pt, pv, qt, qv, d in calls:
             want = bool(oracle._frechet_feasible(pt, pv, qt, qv, d))
-            assert feasible(pt, pv, qt, qv, d) is want, d
+            assert kernels.frechet_feasible(pt, pv, qt, qv, d) is want, d
             decisions.add(want)
         assert decisions == {True, False}
 
@@ -157,16 +173,32 @@ class TestJ1Oracle:
             _assert_j1_same(jumpy, flat, d)
             _assert_j1_same(flat, CadlagPath([0.0], [0.1]), d)
 
+    def test_contrast_bisection_radii(self, monkeypatch):
+        # every J1 decision of the contrast check, at n = 100 and 300; the
+        # path comes first there, so its jump list is the longer one
+        calls = _contrast_calls(monkeypatch, "j1_feasible")
+        assert len(calls) > 40
+        assert any(len(tx) > len(sy) for tx, sy, _, _, _ in calls)
+        decisions = {_assert_j1_args_same(*args) for args in calls}
+        assert decisions == {True, False}
+
 
 @pytest.mark.parametrize("d", [0.0, 0.05, 0.3])
 def test_window_matches_oracle_elementwise(d, rng):
-    # the one window implementation against the scalar one, on shared endpoints
+    # both window routines of the sweep against the scalar one, on shared
+    # endpoints, flat segments (c1 == c0) and falling ones (c1 < c0)
     a = rng.random(50)
     c0 = np.round(rng.random(50), 1)
     c1 = np.where(rng.random(50) < 0.3, c0, rng.random(50))
-    lo, hi = kernels._free_window(a, c0, c1, d)
+    assert (c1 == c0).any() and (c1 < c0).any() and (c1 > c0).any()
+    start, flat, span = kernels._segments(np.column_stack([c0, c1]))
+    lo, hi = kernels._free_window(a[:, None], start, flat, span, d)
     for k in range(a.size):
-        assert (lo[k], hi[k]) == oracle._free_window(a[k], c0[k], c1[k], d)
+        assert (lo[k, 0], hi[k, 0]) == oracle._free_window(a[k], c0[k], c1[k], d)
+        # the points a against segment k, as a column's top edges take them
+        lo_k, hi_k = kernels._seg_window(a, float(c0[k]), float(c1[k]), d)
+        for i in range(a.size):
+            assert (lo_k[i], hi_k[i]) == oracle._free_window(a[i], c0[k], c1[k], d)
 
 
 def _chain_by_loop(start_alive, has_l, tlo, thi):
@@ -193,3 +225,13 @@ def test_top_chain_max_is_exact(rng):
         args = (bool(rng.random() < 0.8), rng.random(m) < 0.3,
                 rng.choice(values, m), rng.choice(values, m))
         assert list(kernels._top_chain(*args)) == _chain_by_loop(*args)
+    # long columns with thousands of restarts, on values one ulp apart
+    ulp = np.nextafter(0.3, 1.0) - 0.3
+    near = 0.3 + ulp * np.arange(-2, 3)
+    for restart_frac in (0.3, 0.9):
+        for _ in range(20):
+            m = 5000
+            args = (bool(rng.random() < 0.8), rng.random(m) < restart_frac,
+                    rng.choice(near, m), rng.choice(near, m))
+            assert int(args[1].sum()) > 1000
+            assert list(kernels._top_chain(*args)) == _chain_by_loop(*args)
