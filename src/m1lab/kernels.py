@@ -3,10 +3,11 @@
 The two metric decision kernels are numpy sweeps: the strong-M1 free-space
 sweep runs one column of cells per step, over the curve with fewer
 segments, and the J1 alignment DP one row of states per step, over the
-shorter jump list.  The sweep takes the rows' segment geometry once per
-call and a column's top windows per coordinate against its one segment; a
-column's upward chain is an exact running max on complex keys
-(``notes/decisions.md``, "Strong-M1 decision kernel").  The GARCH recursion
+shorter jump list.  The sweep takes both curves' segment geometry once per
+call, and a column's upward chain is an exact running max on complex keys
+(``notes/decisions.md``, "Strong-M1 decision kernel").  The J1 DP's two
+sweeps evaluate the same float expressions, so swapping the sweep's
+orientation changes no decision.  The GARCH recursion
 is a plain loop.  There is no compiled route; ``USE_NUMBA`` stays for the
 records that name the route.
 """
@@ -46,24 +47,6 @@ def _free_window(a, c0, flat, span, d):
     lo = np.where(flat, np.where(near, 0.0, 1.0), lo)
     hi = np.where(flat, np.where(near, 1.0, -1.0), hi)
     return lo, hi
-
-
-def _seg_window(a, c0, c1, d):
-    """``_free_window`` of the points a against the one segment c0 -> c1.
-
-    The ends are floats, so the flat case and the order of the two ends are
-    one branch each: for dc > 0 the lower end is (a - d - c0) / dc, since
-    rounding keeps a - d <= a + d, and for dc < 0 it is the other quotient.
-    """
-    dc = c1 - c0
-    if dc == 0.0:
-        near = np.abs(a - c0) <= d
-        return np.where(near, 0.0, 1.0), np.where(near, 1.0, -1.0)
-    lo = (a - d - c0) / dc
-    hi = (a + d - c0) / dc
-    if dc < 0.0:
-        lo, hi = hi, lo
-    return np.maximum(lo, 0.0), np.minimum(hi, 1.0)
 
 
 def _free_point_seg(a, segs, d):
@@ -134,8 +117,8 @@ def frechet_feasible(pt, pv, qt, qv, d):
     range lies within d (plus ``BAND_SLACK``) of the column's: outside that
     band both edge windows of a cell are empty.  It stops as soon as no
     right edge of a column is reachable and the bottom boundary is spent.
-    The rows' segment geometry is computed once per call; a column's top
-    windows are those of its one segment, taken per coordinate.
+    Both curves' segment geometry is computed once per call; a column's top
+    windows are taken against its one segment.
     """
     p = pt.shape[0] - 1
     q = qt.shape[0] - 1
@@ -150,7 +133,8 @@ def frechet_feasible(pt, pv, qt, qv, d):
     ps = np.stack([pt, pv])
     qs = np.stack([qt, qv])
     q0, qflat, qspan = rows = _segments(qs)
-    bottom, _ = _boundary_climb(qs[:, :1], _segments(ps), d)
+    p0, pflat, pspan = cols = _segments(ps)
+    bottom, _ = _boundary_climb(qs[:, :1], cols, d)
     n_bottom = int(bottom.sum())
     left, left_hi = _boundary_climb(ps[:, :1], rows, d)
     # reach on the left edges of the current column
@@ -161,16 +145,16 @@ def frechet_feasible(pt, pv, qt, qv, d):
     # with i, so a row a column leaves is never read again.
     first = np.searchsorted(qt[1:], pt[:-1] - (d + BAND_SLACK), side="left")
     stop = np.searchsorted(qt[:-1], pt[1:] + (d + BAND_SLACK), side="right")
-    ptl, pvl = pt.tolist(), pv.tolist()
     for i in range(p):
         a, b = int(first[i]), int(stop[i])
         rlo, rhi = _free_point_seg(
             ps[:, i + 1 : i + 2], (q0[:, a:b], qflat[:, a:b], qspan[:, a:b]), d
         )
-        tlo, thi = _seg_window(qt[a + 1 : b + 1], ptl[i], ptl[i + 1], d)
-        vlo, vhi = _seg_window(qv[a + 1 : b + 1], pvl[i], pvl[i + 1], d)
-        tlo = np.maximum(tlo, vlo)
-        thi = np.minimum(thi, vhi)
+        tlo, thi = _free_point_seg(
+            qs[:, a + 1 : b + 1],
+            (p0[:, i : i + 1], pflat[:, i : i + 1], pspan[:, i : i + 1]),
+            d,
+        )
         cur_llo = llo[a:b]
         has_l = cur_llo <= lhi[a:b]
         start_alive = a == 0 and i < n_bottom
@@ -201,20 +185,24 @@ def j1_feasible(tx, sy, levx, levy, d):
     intermediate level.  Greedy earliest placement is optimal because a
     smaller last-event position never hurts later moves.
 
-    The decision is symmetric in the two paths, so the rows run over the
-    shorter jump list.  Row j is swept in two vector steps.  Emitting y's
-    jumps alone is a forward chain in k, and since jump times increase
-    strictly it is the boolean recurrence A_k = start_k or (A_{k-1} and
-    lev_{k-1}), solved with last-index running maxima.  Emitting x's jump j
-    (alone or with a y jump) is elementwise in k.
+    x's jump j is placed in [tx_j - d, tx_j + d] and y's stay at sy, so the
+    two argument orders round differently and the decision is not exactly
+    symmetric.  The DP runs one row of states per step over the shorter
+    jump list, and both sweeps evaluate the same float expressions.  Row j
+    of x is swept in two vector steps.  Emitting y's jumps alone is a
+    forward chain in k, and since jump times increase strictly it is the
+    boolean recurrence A_k = start_k or (A_{k-1} and lev_{k-1}), solved with
+    last-index running maxima.  Emitting x's jump j (alone or with a y jump)
+    is elementwise in k.  When x has more jumps, ``_j1_y_rows`` sweeps the
+    rows of y.
     """
-    if tx.shape[0] > sy.shape[0]:
-        tx, sy, levx, levy = sy, tx, levy, levx
     J = tx.shape[0]
     K = sy.shape[0]
     INF = 1e300
     if abs(levx[0] - levy[0]) > d:
         return False
+    if J > K:
+        return _j1_y_rows(tx, sy, levx, levy, d)
     ks = np.arange(K)
     m_cur = np.full(K + 1, INF)
     m_cur[0] = 0.0
@@ -241,6 +229,47 @@ def j1_feasible(tx, sy, levx, levy, d):
         m_next[1:] = np.where(both, np.minimum(m_next[1:], sy), m_next[1:])
         m_cur = m_next
     return bool(m_cur[K] < INF)
+
+
+def _j1_y_rows(tx, sy, levx, levy, d):
+    """``j1_feasible``'s DP swept one row of y per step, vector over x.
+
+    Emitting y's jump k (alone or with x jump j) is elementwise in j.
+    Emitting x's jumps alone is a chain in j: x's jump j moves to
+    max(m, c_j) with c_j = max(tx_j - d, 0), if m <= cap_j = min(tx_j + d,
+    1).  Jump times increase within [0, 1], so c and cap do not decrease and
+    c_j <= cap_j; a chain from state j0 to j thus ends at max(m_j0, c_{j-1})
+    and is admissible iff m_j0 <= cap_j0 and every level it passes is within
+    d.  Row k's chain is then a running min of the admissible starts over
+    the runs of level-admissible states, one ``np.maximum.accumulate`` on
+    the complex keys run + 1j * (-start) as in ``_top_chain``.
+    """
+    J = tx.shape[0]
+    K = sy.shape[0]
+    INF = 1e300
+    lo = np.maximum(tx - d, 0.0)
+    cap = np.minimum(tx + d, 1.0)
+    m = np.full(J + 1, INF)
+    m[0] = 0.0
+    lev = np.abs(levx - levy[0]) <= d
+    keys = np.empty(J, dtype=complex)
+    for k in range(K + 1):
+        # x jumps alone: a state whose level is too far starts a new run
+        keys.real = np.cumsum(~lev)[:-1]
+        keys.imag = -np.where(m[:-1] <= cap, m[:-1], INF)
+        best = -np.maximum.accumulate(keys).imag
+        m[1:] = np.where(lev[1:], np.minimum(m[1:], np.maximum(best, lo)), INF)
+        if k == K:
+            break
+        s = sy[k]
+        # y jump k alone, or together with x jump j
+        start = s >= m
+        near = np.abs(s - tx) <= d
+        lev = np.abs(levx - levy[k + 1]) <= d
+        reach = start.copy()
+        reach[1:] |= start[:-1] & near
+        m = np.where(reach & lev, s, INF)
+    return bool(m[J] < INF)
 
 
 def garch_recursion(z, omega, a1, b1, s0, burn):

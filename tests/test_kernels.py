@@ -31,11 +31,13 @@ def _assert_j1_same(x, y, d):
 
 
 def _assert_j1_args_same(tx, sy, levx, levy, d):
-    # the kernel sweeps the shorter jump list, so one of the two orders
-    # swaps the paths: both must give the oracle's decision in this order
+    # the kernel sweeps the shorter jump list, so one of the two orders runs
+    # its other sweep; each must give the oracle's decision in that order,
+    # which may differ between the orders by a rounding
     want = bool(oracle._j1_feasible(tx, sy, levx, levy, d))
     assert kernels.j1_feasible(tx, sy, levx, levy, d) is want, d
-    assert kernels.j1_feasible(sy, tx, levy, levx, d) is want, d
+    flip = bool(oracle._j1_feasible(sy, tx, levy, levx, d))
+    assert kernels.j1_feasible(sy, tx, levy, levx, d) is flip, d
     return want
 
 
@@ -173,6 +175,43 @@ class TestJ1Oracle:
             _assert_j1_same(jumpy, flat, d)
             _assert_j1_same(flat, CadlagPath([0.0], [0.1]), d)
 
+    def test_x_longer_rounds_as_x_rows(self):
+        # 0.625 - d is exact and lands 2**-54 above y's jump, so the gap
+        # exceeds d; y's jump + d rounds up to 0.625.  A sweep over y's rows
+        # must still test x's window, not y's, or it answers True
+        d = 0.32
+        tx = np.array([0.625, 0.9])
+        levx = np.array([0.0, 0.1, 0.12])
+        sy = np.array([(0.625 - d) - 2.0**-54])
+        levy = np.array([0.0, 0.35])
+        assert sy[0] + d == 0.625 and 0.625 - d > sy[0]
+        assert kernels.j1_feasible(tx, sy, levx, levy, d) is False
+        assert bool(oracle._j1_feasible(tx, sy, levx, levy, d)) is False
+        assert kernels.j1_feasible(sy, tx, levy, levx, d) is True
+        assert bool(oracle._j1_feasible(sy, tx, levy, levx, d)) is True
+
+    def test_rounding_ties_in_both_orders(self, rng):
+        # times on a 1/64 grid and radii at every time and level gap with its
+        # float neighbours, so x's window ends and y's jumps meet at half-ulp
+        # ties where the two argument orders decide differently
+        grid = np.arange(1, 64) / 64
+        asymmetric = 0
+        for _ in range(150):
+            tx = np.unique(rng.choice(grid, int(rng.integers(1, 9))))
+            sy = np.unique(rng.choice(grid, int(rng.integers(1, 9))))
+            levx = rng.integers(-3, 4, tx.size + 1) / 8.0
+            levy = rng.integers(-3, 4, sy.size + 1) / 8.0
+            gaps = np.concatenate([
+                np.abs(tx[:, None] - sy).ravel(),
+                np.abs(levx[:, None] - levy).ravel() / 2,
+            ])
+            for g in np.unique(gaps):
+                for d in (np.nextafter(g, 0.0), g, np.nextafter(g, 1.0)):
+                    want = _assert_j1_args_same(tx, sy, levx, levy, float(d))
+                    flip = bool(oracle._j1_feasible(sy, tx, levy, levx, float(d)))
+                    asymmetric += want != flip
+        assert asymmetric > 0
+
     def test_contrast_bisection_radii(self, monkeypatch):
         # every J1 decision of the contrast check, at n = 100 and 300; the
         # path comes first there, so its jump list is the longer one
@@ -185,20 +224,19 @@ class TestJ1Oracle:
 
 @pytest.mark.parametrize("d", [0.0, 0.05, 0.3])
 def test_window_matches_oracle_elementwise(d, rng):
-    # both window routines of the sweep against the scalar one, on shared
+    # the sweep's window routine against the scalar one, on shared
     # endpoints, flat segments (c1 == c0) and falling ones (c1 < c0)
     a = rng.random(50)
     c0 = np.round(rng.random(50), 1)
     c1 = np.where(rng.random(50) < 0.3, c0, rng.random(50))
     assert (c1 == c0).any() and (c1 < c0).any() and (c1 > c0).any()
     start, flat, span = kernels._segments(np.column_stack([c0, c1]))
-    lo, hi = kernels._free_window(a[:, None], start, flat, span, d)
-    for k in range(a.size):
-        assert (lo[k, 0], hi[k, 0]) == oracle._free_window(a[k], c0[k], c1[k], d)
-        # the points a against segment k, as a column's top edges take them
-        lo_k, hi_k = kernels._seg_window(a, float(c0[k]), float(c1[k]), d)
-        for i in range(a.size):
-            assert (lo_k[i], hi_k[i]) == oracle._free_window(a[i], c0[k], c1[k], d)
+    # entry (i, k) is point a[i] against segment k: a column's top edges
+    # take a column of it, a point's right edge a row
+    lo, hi = kernels._free_window(a[:, None], start.T, flat.T, span.T, d)
+    for i in range(a.size):
+        for k in range(a.size):
+            assert (lo[i, k], hi[i, k]) == oracle._free_window(a[i], c0[k], c1[k], d)
 
 
 def _chain_by_loop(start_alive, has_l, tlo, thi):
