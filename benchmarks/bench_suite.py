@@ -25,12 +25,16 @@ the best of ``REPEAT`` fresh interpreters.  ``peak_mb`` is the median of
 the peaks of the memory Python and numpy allocate during ``REPEAT`` more,
 untimed runs of the config, as tracemalloc reports them, so tracing does
 not slow the timed runs; ``peak_mb_range`` holds their least and largest.
-The suite runs on one thread, and on a 2-vCPU machine the peaks of
-identical runs of the four configs above agree to 0.1 MB; the range shows
-whether that still holds.  With ``--record`` one point
-per config is appended to BENCH_suite.json at the repository root, with the
-same environment fields as BENCH_kernels.json.  Compare points only when
-machine and route match.
+
+On two CPUs the suite runs fidi and selfnorm in a forked child process,
+and tracemalloc sees only the calling process.  So each point also
+carries that child's cost as the suite reports it (``report.child``) in
+the timed runs: ``child_cpu_s``, the least of its CPU seconds, and
+``child_peak_rss_mb``, the median of its peak resident memory, which counts
+the pages it shares with the parent since the fork.  Both are None on one
+CPU.  With ``--record`` one point per config is appended to
+BENCH_suite.json at the repository root, with the same environment fields
+as BENCH_kernels.json.  Compare points only when machine and route match.
 """
 
 import argparse
@@ -92,18 +96,28 @@ def run_suite(cfg):
 
 
 def bench(text, overrides):
-    """Best-of-REPEAT seconds per check and of the whole suite call, and the
-    traced peak MB of REPEAT more runs, least to largest."""
+    """Best-of-REPEAT seconds per check and of the whole suite call, the
+    traced peak MB of REPEAT more runs, least to largest, and the forked
+    child's least CPU seconds and median peak RSS (MB) over the timed runs,
+    or None when the suite forked none."""
     cfg, _ = config.parse_config(text, overrides=overrides)
     checks = {}
     total = float("inf")
+    children = []
     for _ in range(REPEAT):
         t0 = time.perf_counter()
         report = run_suite(cfg)
         total = min(total, time.perf_counter() - t0)
         for name, sec in report.runtime.items():
             checks[name] = min(checks.get(name, float("inf")), sec)
-    return checks, total, sorted(peak_mb(lambda: run_suite(cfg)) for _ in range(REPEAT))
+        if report.child is not None:
+            children.append(report.child)
+    child = None
+    if children:
+        child = (min(c["cpu_s"] for c in children),
+                 statistics.median(c["peak_rss_mb"] for c in children))
+    peaks = sorted(peak_mb(lambda: run_suite(cfg)) for _ in range(REPEAT))
+    return checks, total, peaks, child
 
 
 def main():
@@ -122,11 +136,12 @@ def main():
     print(f"startup: import m1lab.cli + default parse_config {startup_s:.3f} s, "
           f"peak RSS {startup_mb:.1f} MB")
     print(f"{'config':<22}" + "".join(f"{n:>{w}}" for n, w in widths.items())
-          + f"{'total':>10}{'peak MB':>9}  range")
-    for label, checks, total, peaks in rows:
+          + f"{'total':>10}{'peak MB':>9}  range      child cpu s, peak RSS MB")
+    for label, checks, total, peaks, child in rows:
         print(f"{label:<22}" + "".join(f"{checks[n]:>{w}.3f}" for n, w in widths.items())
               + f"{total:>10.3f}{statistics.median(peaks):>9.1f}"
-              + f"  {peaks[0]:.1f}-{peaks[-1]:.1f}")
+              + f"  {peaks[0]:.1f}-{peaks[-1]:.1f}".ljust(13)
+              + ("none" if child is None else f"{child[0]:.3f}, {child[1]:.1f}"))
     if not args.record:
         return
     env = environment(route)
@@ -136,8 +151,11 @@ def main():
     ] + [
         {"config": label, "checks": {n: round(s, 4) for n, s in checks.items()},
          "total_s": round(total, 4), "peak_mb": round(statistics.median(peaks), 1),
-         "peak_mb_range": [round(peaks[0], 1), round(peaks[-1], 1)], "repeat": REPEAT, **env}
-        for label, checks, total, peaks in rows
+         "peak_mb_range": [round(peaks[0], 1), round(peaks[-1], 1)],
+         "child_cpu_s": None if child is None else round(child[0], 4),
+         "child_peak_rss_mb": None if child is None else round(child[1], 1),
+         "repeat": REPEAT, **env}
+        for label, checks, total, peaks, child in rows
     ])
 
 

@@ -12,9 +12,15 @@ Every check consumes an :class:`~m1lab.config.ExperimentConfig`; verdict
 thresholds come exclusively from the config's tolerances.  A check's
 replicates are ``models.replicate_samples(spec, n, stream_seed(config.seed,
 tag), count)``, where the tag names the check (and sample size), so results
-do not depend on scheduling or worker count.  fidi and selfnorm read one
+do not depend on which process computes them.  fidi and selfnorm read one
 pass of replicates (tags selfnorm-n{n}) and limit draws (levy-selfnorm),
 see _marginal_pass.
+
+On two CPUs the work is split between two processes by
+:func:`_in_two_processes`: the suite runs fidi and selfnorm in a forked
+child while the calling process runs the other checks, and contrast runs
+the second half of each n's replicates in a forked child.  The bundle's
+bytes are those of a one-CPU run.
 
 The checks that need theoretical norming or an analytic cluster law take
 the moving-average family ``LinearSpec``; the iid model is its order 0,
@@ -26,6 +32,7 @@ is not).
 import functools
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -110,6 +117,9 @@ class ConvergenceReport:
     seed: int
     results: list = field(default_factory=list)
     runtime: dict = field(default_factory=dict)
+    # {"cpu_s", "peak_rss_mb"} of the forked process that ran fidi and
+    # selfnorm, or None; like runtime, outside the determinism contract
+    child: dict | None = None
 
     @property
     def verdicts(self):
@@ -122,6 +132,60 @@ class ConvergenceReport:
     @property
     def passed(self):
         return all(self.verdicts.values())
+
+
+def _in_two_processes(first, second):
+    """``(first(), second())``, with ``second`` run in a forked child process
+    while this process runs ``first``.
+
+    Both run here, in that order, when this process may use fewer than two
+    CPUs or runs another thread (forking a threaded process is unsafe).  The
+    child inherits every loaded module, patched attributes included, and
+    sends its result back through a pipe.  An exception that ``second``
+    raises in the child is raised here, with its type and message, after
+    ``first`` returned, as a serial run would raise it; a child that exits
+    without a result raises :class:`LabError` naming its exit code.  The
+    child is joined on every path and terminated when ``first`` raises or
+    this process is interrupted.
+    """
+    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return first(), second()
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(second, send))
+    child.start()
+    send.close()
+    try:
+        one = first()
+        try:
+            ok, two = receive.recv()
+        except EOFError:
+            child.join()
+            raise LabError(
+                f"the forked process exited with code {child.exitcode} without a result"
+            ) from None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receive.close()
+    if not ok:
+        raise two
+    return one, two
+
+
+def _send_result(fn, conn):
+    """The child's side of :func:`_in_two_processes`: send (True, fn()) or
+    (False, the exception fn raised)."""
+    try:
+        out = (True, fn())
+    except Exception as exc:  # raised again in the parent
+        out = (False, exc)
+    conn.send(out)
+    conn.close()
 
 
 def _analytic_setup(config):
@@ -258,9 +322,26 @@ def run_selfnorm_convergence(config, shared=None):
     return res
 
 
+def _contrast_distances(spec, n, a_n, scheme, base, resolution, start, count):
+    """(m1, its bracket width, j1) of the path and its block collapse for
+    replicates start, ..., start + count - 1 of the seed stream ``base``."""
+    out = []
+    for x in replicate_samples(spec, n, base, count, start):
+        path = build_Ln(x, a_n).l1
+        collapsed = collapse_clusters(path, scheme)
+        m1d = m1_distance_detailed(path, collapsed, resolution)
+        out.append((m1d.value, m1d.tol, j1_distance(path, collapsed, resolution)))
+    return out
+
+
 def run_j1_vs_m1_contrast(config):
     """Distances between the normalized sum path and its block-collapsed
-    version under both jump topologies, per replicate and sample size."""
+    version under both jump topologies, per replicate and sample size.
+
+    Per n, with at least 2 replicates, the second half of the replicates
+    runs in a forked process (:func:`_in_two_processes`) while this one runs
+    the first; each half draws only its own replicates, and the rows keep
+    replicate order and each replicate's index."""
     spec = config.model
     if not isinstance(spec, LinearSpec):
         raise LabError("the contrast check needs theoretical norming (iid or linear model)")
@@ -268,26 +349,26 @@ def run_j1_vs_m1_contrast(config):
         check="contrast", thresholds={"m1_j1_frac": config.tolerances["m1_j1_frac"]}
     )
     clustered = model_extremal_index(spec) < 1.0
+    count = config.contrast_replicates
+    half = count // 2
     med_m1 = {}
     orderings = []
     for n in config.contrast_n_grid:
-        a_n = an_theoretical(spec, n)
         scheme = BlockingScheme.from_exponent(n, config.kappa)
         base = stream_seed(config.seed, f"contrast-n{n}")
-        resolution = max(config.m1_resolution, 4 * n + 16)
-        m1s = []
-        j1s = []
-        samples = replicate_samples(spec, n, base, config.contrast_replicates)
-        for rep, x in enumerate(samples):
-            path = build_Ln(x, a_n).l1
-            collapsed = collapse_clusters(path, scheme)
-            m1d = m1_distance_detailed(path, collapsed, resolution)
-            m1 = m1d.value
-            j1 = j1_distance(path, collapsed, resolution)
-            m1s.append(m1)
-            j1s.append(j1)
+        setup = (spec, n, an_theoretical(spec, n), scheme, base,
+                 max(config.m1_resolution, 4 * n + 16))
+        if half:
+            first, second = _in_two_processes(
+                lambda: _contrast_distances(*setup, 0, half),
+                lambda: _contrast_distances(*setup, half, count - half),
+            )
+            distances = first + second
+        else:
+            distances = _contrast_distances(*setup, 0, count)
+        for rep, (m1, tol, j1) in enumerate(distances):
             # both metrics are certified upper endpoints; allow their gaps
-            orderings.append(m1 <= j1 + 2.0 * m1d.tol + 1e-12)
+            orderings.append(m1 <= j1 + 2.0 * tol + 1e-12)
             res.rows.append(
                 {
                     "check": "contrast",
@@ -299,13 +380,13 @@ def run_j1_vs_m1_contrast(config):
                     "seed_stream": base,
                 }
             )
-        med_m1[n] = float(np.median(m1s))
+        med_m1[n] = float(np.median([m1 for m1, _, _ in distances]))
         res.rows.append(
             {
                 "check": "contrast_summary",
                 "n": n,
                 "median_m1": med_m1[n],
-                "median_j1": float(np.median(j1s)),
+                "median_j1": float(np.median([j1 for _, _, j1 in distances])),
             }
         )
     # the ordering is the gate; the median-vs-n trend is reported only
@@ -497,17 +578,47 @@ def _render_json(obj):
     return json.dumps(str(obj))
 
 
+# the suite's two lanes: fidi and selfnorm share one marginal pass, which a
+# forked child runs while the calling process runs the rest
+MARGINAL_CHECKS = ("fidi", "selfnorm")
+OTHER_CHECKS = ("contrast", "karamata", "slutsky", "theta", "diagnostics")
+
+
+def _failed_check(name, exc):
+    res = CheckResult(check=name, verdicts={"completed": False})
+    res.notes.append(f"error: {type(exc).__name__}: {exc}")
+    return res
+
+
+def _process_cost():
+    """CPU seconds and peak resident memory (MB) of this process so far."""
+    import resource
+
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"cpu_s": usage.ru_utime + usage.ru_stime, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
 def run_full_suite(config, outdir=None):
     """All checks plus diagnostics; optionally writes the bundle directory.
 
     Bundle layout: report.jsonl (one record per check row), paths/*.csv
     (sampled paths for plotting), summary.txt (verdict table, runtimes),
     manifest.json (config digest, seed, versions).  Errors in one check are
-    recorded and the suite continues.  The checks run in report order on
-    the calling thread.  fidi and selfnorm share one cached
-    :func:`_marginal_pass`, computed inside fidi; a pass that raises is not
-    cached, so selfnorm recomputes it and records the same error (repeated
-    work, on failure only).
+    recorded and the suite continues.
+
+    The checks run in two lanes (:func:`_in_two_processes`).  A forked child
+    runs fidi and selfnorm, which share one cached :func:`_marginal_pass`
+    computed inside fidi, and sends back their results, runtimes and its own
+    CPU time and peak RSS (``report.child``).  Meanwhile the calling process
+    runs contrast, karamata, slutsky, theta and diagnostics in that order,
+    then writes the bundle, so every entry point but the marginal lane's
+    runs here.  On one CPU both lanes run here, the marginal one last, and
+    ``report.child`` is None.  Every check draws from its own seed streams,
+    so the results do not depend on the lane.  A marginal pass that raises
+    is not cached, so selfnorm recomputes it and records the same error
+    (repeated work, on failure only); a child that dies marks both checks
+    not completed, with a note giving its exit code, and their runtimes NaN.
+    Results and runtimes are in report order.
     """
     report = ConvergenceReport(
         header=REPORT_HEADER, config_digest=config.digest(), seed=config.seed
@@ -522,15 +633,36 @@ def run_full_suite(config, outdir=None):
         "theta": run_theta_recovery,
         "diagnostics": run_tail_diagnostics,
     }
-    for name, check in checks.items():
-        t0 = time.perf_counter()
-        try:
-            res = check(config)
-        except Exception as exc:  # record and continue per the suite contract
-            res = CheckResult(check=name, verdicts={"completed": False})
-            res.notes.append(f"error: {type(exc).__name__}: {exc}")
+    done = {}
+
+    def lane(names):
+        for name in names:
+            t0 = time.perf_counter()
+            try:
+                res = checks[name](config)
+            except Exception as exc:  # record and continue per the suite contract
+                res = _failed_check(name, exc)
+            done[name] = (res, time.perf_counter() - t0)
+        return {name: done[name] for name in names}
+
+    suite_pid = os.getpid()
+
+    def marginal_lane():
+        out = lane(MARGINAL_CHECKS)
+        return out, (_process_cost() if os.getpid() != suite_pid else None)
+
+    try:
+        _, (marginal, report.child) = _in_two_processes(
+            lambda: lane(OTHER_CHECKS), marginal_lane
+        )
+        done.update(marginal)
+    except Exception as exc:  # the marginal lane's process died
+        for name in MARGINAL_CHECKS:
+            done[name] = (_failed_check(name, exc), float("nan"))
+    for name in checks:
+        res, sec = done[name]
         report.results.append(res)
-        report.runtime[name] = time.perf_counter() - t0
+        report.runtime[name] = sec
     if outdir is not None:
         write_bundle(report, config, outdir)
     return report
@@ -571,6 +703,11 @@ def write_bundle(report, config, outdir):
         f.write("\n# runtime (seconds; excluded from reproducibility contract)\n")
         for name, sec in report.runtime.items():
             f.write(f"{name}: {sec:.2f}\n")
+        if report.child is not None:
+            f.write(
+                f"child process (fidi, selfnorm): cpu {report.child['cpu_s']:.2f} s, "
+                f"peak RSS {report.child['peak_rss_mb']:.1f} MB\n"
+            )
 
 
 def _version_record():

@@ -312,9 +312,11 @@ def sample_model(spec, n, seed):
     raise ModelError(f"unknown model spec {type(spec).__name__}")
 
 
-def replicate_samples(spec, n, base, count):
-    """Lazily ``sample_model(spec, n, derive_seed(base, r)).values``, r < count."""
-    for r in range(count):
+def replicate_samples(spec, n, base, count, start=0):
+    """Lazily ``sample_model(spec, n, derive_seed(base, r)).values`` for
+    r = start, ..., start + count - 1, so a part of a replicate set draws only
+    its own replicates."""
+    for r in range(start, start + count):
         yield sample_model(spec, n, derive_seed(base, r)).values
 
 

@@ -6,6 +6,8 @@ kernels evaluate the same window algebra in a different order, sweep only
 a time band and may stop early, so the only acceptable difference is none.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,9 +45,11 @@ def _assert_j1_args_same(tx, sy, levx, levy, d):
 
 def _contrast_calls(monkeypatch, name):
     """Arguments of every ``name`` decision of the contrast check on a
-    clustered MA(1) at n = 100 and 300."""
+    clustered MA(1) at n = 100 and 300; the check sees one CPU, so no
+    replicate runs in a forked process, where no call would be recorded."""
     calls = []
     feasible = getattr(kernels, name)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def recording(*args):
         calls.append(args)

@@ -1,7 +1,10 @@
+import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import astuple
 
@@ -9,8 +12,12 @@ import numpy as np
 import pytest
 
 from m1lab import lab, models, sumproc
-from m1lab.config import ConfigError, default_config, replace_config
+from m1lab.config import ConfigError, default_config, parse_config, replace_config
 from m1lab.models import GarchSpec, LinearSpec, RegVarSpec
+
+
+# whether lab._in_two_processes forks here: two CPUs and no other thread
+FORKS = len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
 
 
 def small_config(**over):
@@ -365,7 +372,7 @@ def overlap_config(**over):
 
 # (module, function) of the span tracer's entry points, as the benchmark's
 # tracer lists them.  Its span stack is shared by all threads, so each must
-# run on the main thread.
+# run on the main thread of its process; it sees only the calling process.
 TRACED = [
     ("kernels", "frechet_feasible"),
     ("kernels", "j1_feasible"),
@@ -397,7 +404,8 @@ TRACED = [
 
 
 class TestKaramataOverlap:
-    """The suite runs every check in report order on the calling thread."""
+    """The suite runs no thread, and each of its two lanes runs its checks in
+    report order."""
 
     CHECKS = ["fidi", "selfnorm", "contrast", "karamata", "slutsky", "theta", "diagnostics"]
 
@@ -425,12 +433,16 @@ class TestKaramataOverlap:
                 assert "completed" not in res.verdicts, res.check
                 assert res.rows, res.check
 
-    def test_karamata_read_after_theta(self, monkeypatch):
-        order = []
+    def test_karamata_read_after_theta(self, monkeypatch, tmp_path):
+        # each lane runs its checks in report order; the calls are logged to
+        # a file with the pid of the process that made them, so a forked
+        # child's calls are counted too
+        log = tmp_path / "calls"
 
         def logged(name, fn):
             def wrapper(*args, **kwargs):
-                order.append(name)
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {name}\n")
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -442,7 +454,17 @@ class TestKaramataOverlap:
         for name in entry_points:
             monkeypatch.setattr(lab, name, logged(name, getattr(lab, name)))
         report = lab.run_full_suite(overlap_config())
-        assert order == entry_points
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            by_pid.setdefault(int(pid), []).append(name)
+        own = by_pid.pop(os.getpid())
+        # the calling process runs contrast to diagnostics, and fidi and
+        # selfnorm run last here or in one forked child
+        assert own[:5] == entry_points[2:]
+        assert len(by_pid) == FORKS
+        assert own[5:] + [name for names in by_pid.values() for name in names] == \
+            entry_points[:2]
         assert [r.check for r in report.results] == self.CHECKS
         assert list(report.runtime) == self.CHECKS
 
@@ -452,11 +474,14 @@ class TestKaramataOverlap:
         assert set(threading.enumerate()) == before
 
     def test_traced_entry_points_on_main_thread(self, monkeypatch, tmp_path):
-        calls = []
+        # calls are logged to a file, so those of forked children count too
+        log = tmp_path / "calls"
 
         def wrap(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append((name, threading.current_thread() is threading.main_thread()))
+                main = threading.current_thread() is threading.main_thread()
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {name} {int(main)}\n")
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -470,8 +495,14 @@ class TestKaramataOverlap:
                     if value is original:
                         monkeypatch.setattr(mod, key, wrapper)
         lab.run_full_suite(overlap_config(), outdir=str(tmp_path / "bundle"))
-        assert {name for name, _ in calls} >= {"lab.run_karamata_check", "lab.write_bundle"}
-        assert all(main for _, main in calls), [name for name, main in calls if not main]
+        calls = [line.split() for line in log.read_text().splitlines()]
+        own = {name for pid, name, _ in calls if int(pid) == os.getpid()}
+        # the kernels' spans and the bundle writer stay in the calling process
+        assert own >= {"lab.run_karamata_check", "lab.write_bundle",
+                       "lab.run_j1_vs_m1_contrast", "kernels.frechet_feasible"}
+        assert all(main == "1" for _, _, main in calls), [
+            name for _, name, main in calls if main != "1"
+        ]
 
 
 class TestMarginalPass:
@@ -479,17 +510,20 @@ class TestMarginalPass:
 
     CHECKS = TestKaramataOverlap.CHECKS
 
-    def test_one_pass_in_suite(self, monkeypatch):
+    def test_one_pass_in_suite(self, monkeypatch, tmp_path):
         # the draws are counted where the benchmark's tracer counts them:
-        # the replicate loop reads models.sample_model at call time
+        # the replicate loop reads models.sample_model at call time; each
+        # draw is logged to a file, since the pass may run in a forked child
         cfg = overlap_config()
+        log = tmp_path / "draws"
         inside = []
-        counts = {"levy_marginal_draws": 0, "sample_model": 0}
         owner = {"levy_marginal_draws": lab, "sample_model": models}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                counts[name] += bool(inside)
+                if inside:
+                    with open(log, "a") as f:
+                        f.write(f"{name}\n")
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -509,6 +543,9 @@ class TestMarginalPass:
         for name in ("run_fidi_convergence", "run_selfnorm_convergence"):
             monkeypatch.setattr(lab, name, check(getattr(lab, name)))
         lab.run_full_suite(cfg)
+        counts = dict.fromkeys(owner, 0)
+        for name in log.read_text().splitlines():
+            counts[name] += 1
         assert counts == {
             "levy_marginal_draws": 1,
             "sample_model": len(cfg.n_grid) * cfg.replicates,
@@ -603,6 +640,161 @@ class TestMarginalPass:
             else:
                 assert "completed" not in res.verdicts, res.check
                 assert res.rows, res.check
+
+
+needs_fork = pytest.mark.skipif(
+    not FORKS, reason="a child is forked only on two CPUs, with no other thread"
+)
+
+
+def one_cpu(monkeypatch):
+    """Make the suite see one CPU, so it forks nothing."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+class TestTwoProcesses:
+    """A forked child runs fidi and selfnorm, and one per n runs the second
+    half of contrast's replicates; the bundle does not depend on it, and no
+    process or thread outlives the suite."""
+
+    CHECKS = TestKaramataOverlap.CHECKS
+
+    @staticmethod
+    def _bundle(cfg, outdir):
+        report = lab.run_full_suite(cfg, outdir=str(outdir))
+        csvs = sorted(f"paths/{p.name}" for p in (outdir / "paths").glob("*.csv"))
+        names = ["report.jsonl"] + csvs
+        return report, {name: (outdir / name).read_bytes() for name in names}
+
+    @pytest.mark.parametrize("sets", [
+        [],  # contrast at 5 replicates: halves of 2 and 3
+        ["run.contrast_replicates=1"],
+        ["run.contrast_n_grid=30, 60", "run.contrast_replicates=3"],
+    ])
+    def test_one_cpu_bundle_byte_identical(self, sets, monkeypatch, tmp_path):
+        from suite_cfg import SUITE_CFG
+
+        cfg, _ = parse_config(SUITE_CFG, overrides=sets)
+        log = tmp_path / "halves"
+        distances = lab._contrast_distances
+
+        def logged(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return distances(*args)
+
+        monkeypatch.setattr(lab, "_contrast_distances", logged)
+        two, two_files = self._bundle(cfg, tmp_path / "two")
+        two_pids = set(log.read_text().split())
+        log.unlink()
+        one_cpu(monkeypatch)
+        one, one_files = self._bundle(cfg, tmp_path / "one")
+        assert one_files == two_files
+        assert set(log.read_text().split()) == {str(os.getpid())}
+        assert one.child is None
+        if FORKS:
+            # one contrast child per n when there are two replicates or more
+            forks = len(cfg.contrast_n_grid) if cfg.contrast_replicates >= 2 else 0
+            assert len(two_pids) == 1 + forks
+            assert two.child["cpu_s"] > 0.0 and two.child["peak_rss_mb"] > 0.0
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_nothing_left(self, fail, monkeypatch, tmp_path):
+        if fail:
+            def forced(config):
+                raise RuntimeError("forced in the child")
+
+            monkeypatch.setattr(lab, "_marginal_pass", forced)
+        before = set(threading.enumerate())
+        report = lab.run_full_suite(overlap_config(), outdir=str(tmp_path / "bundle"))
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == before
+        for res in report.results:
+            if fail and res.check in ("fidi", "selfnorm"):
+                assert res.verdicts == {"completed": False}
+                assert res.notes == ["error: RuntimeError: forced in the child"]
+            else:
+                assert "completed" not in res.verdicts, res.check
+
+    @needs_fork
+    def test_dead_child_marks_marginal_checks(self, monkeypatch, tmp_path):
+        suite_pid = os.getpid()
+
+        def die(config):
+            if os.getpid() == suite_pid:
+                raise AssertionError("the marginal pass ran in the calling process")
+            os._exit(3)
+
+        monkeypatch.setattr(lab, "_marginal_pass", die)
+        report = lab.run_full_suite(overlap_config(), outdir=str(tmp_path / "bundle"))
+        assert multiprocessing.active_children() == []
+        assert [r.check for r in report.results] == self.CHECKS
+        assert list(report.runtime) == self.CHECKS
+        assert report.child is None
+        for res in report.results:
+            if res.check in ("fidi", "selfnorm"):
+                assert res.verdicts == {"completed": False}
+                assert res.rows == []
+                assert res.notes == [
+                    "error: LabError: the forked process exited with code 3 without a result"
+                ]
+                assert math.isnan(report.runtime[res.check])
+            else:
+                assert "completed" not in res.verdicts, res.check
+                assert res.rows, res.check
+        summary = (tmp_path / "bundle" / "summary.txt").read_text()
+        assert "FAIL  fidi.completed" in summary and "FAIL  selfnorm.completed" in summary
+
+    def test_second_half_error_gives_serial_note(self, monkeypatch):
+        distances = lab._contrast_distances
+
+        def second_half_fails(*args):
+            start = args[-2]
+            if start > 0:
+                raise RuntimeError("forced in the second half")
+            return distances(*args)
+
+        monkeypatch.setattr(lab, "_contrast_distances", second_half_fails)
+        cfg = overlap_config()
+        notes = []
+        for cpus in (2, 1):
+            if cpus == 1:
+                one_cpu(monkeypatch)
+            with pytest.raises(RuntimeError, match="^forced in the second half$"):
+                lab.run_j1_vs_m1_contrast(cfg)
+            report = lab.run_full_suite(cfg)
+            contrast = report.results[self.CHECKS.index("contrast")]
+            assert contrast.verdicts == {"completed": False}
+            assert contrast.rows == []
+            notes.append(contrast.notes)
+            assert multiprocessing.active_children() == []
+        assert notes == [["error: RuntimeError: forced in the second half"]] * 2
+
+    def test_child_error_keeps_type_and_message(self, monkeypatch):
+        def missing():
+            return {}["missing"]
+
+        for cpus in (2, 1):
+            if cpus == 1:
+                one_cpu(monkeypatch)
+            with pytest.raises(KeyError) as info:
+                lab._in_two_processes(lambda: None, missing)
+            assert str(info.value) == "'missing'"
+            one, two = lab._in_two_processes(lambda: "first", os.getpid)
+            assert one == "first"
+            assert (two != os.getpid()) == (cpus == 2 and FORKS)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_interrupt_terminates_child(self):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            lab._in_two_processes(interrupted, lambda: time.sleep(60))
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - t0 < 30.0
 
 
 class TestKsStatistic:

@@ -355,6 +355,14 @@ class TestRandomness:
         assert iter(gen) is gen
         assert len(list(gen)) == 3
 
+    @pytest.mark.parametrize("start", [0, 1, 3])
+    def test_start_draws_only_its_replicates(self, start):
+        spec = LinearSpec((1.0, 0.5), RegVarSpec(0.8, p=0.5))
+        base = stream_seed(13, "contrast-n100")
+        whole = list(replicate_samples(spec, 100, base, 7))
+        part = list(replicate_samples(spec, 100, base, 7 - start, start))
+        assert [x.tobytes() for x in part] == [x.tobytes() for x in whole[start:]]
+
     @pytest.mark.parametrize("count", [0, 1, 7])
     @pytest.mark.parametrize("alpha", [0.8, 1.5])
     @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.5)])
