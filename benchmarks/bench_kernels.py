@@ -1,7 +1,7 @@
 """Timings of the metric decision kernels, the GARCH recursion and the Lévy
 marginal draws.
 
-Run:  python3 benchmarks/bench_kernels.py [--sizes 100 400] [--record]
+Run:  python3 benchmarks/bench_kernels.py [--sizes 40 100 400] [--record]
 
 The decision kernels are timed on two input shapes:
 
@@ -14,7 +14,10 @@ The decision kernels are timed on two input shapes:
   the path's jumps before the collapsed path's), so its rows show what the
   kernel's sweep over the shorter list buys.
 - ``balanced``: two random step paths with ``size`` jumps each, at d = their
-  uniform distance, where the sweep runs to the end and answers True.
+  uniform distance, where the sweep runs to the end and answers True.  The
+  pair is drawn from a generator seeded with ``size``, so a row's inputs do
+  not depend on which other sizes run.  The default sizes hold 40, the
+  path size of m1bench's ``metric-pairs``.
 
 ``levy_marginal_draws`` is timed at the suite's size, 2000 draws of 2000
 Poisson points on the default time grid, for the default iid model and the
@@ -100,7 +103,8 @@ def random_step_path(rng, n_jumps):
     return CadlagPath(times, np.cumsum(rng.standard_normal(times.size)), "step")
 
 
-def bench_balanced(rng, n_jumps):
+def bench_balanced(n_jumps):
+    rng = np.random.default_rng(n_jumps)
     x = random_step_path(rng, n_jumps)
     y = random_step_path(rng, n_jumps)
     d = uniform_distance(x, y)
@@ -188,15 +192,14 @@ def append_points(record, new_points):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 400])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[40, 100, 400])
     parser.add_argument("--record", action="store_true",
                         help="append the rows to BENCH_kernels.json")
     args = parser.parse_args()
-    rng = np.random.default_rng(0)
     rows = [row for n in CONTRAST_N for row in bench_contrast(n)]
     for n in args.sizes:
-        rows += bench_balanced(rng, n)
-    rows += bench_garch(rng, 200_000)
+        rows += bench_balanced(n)
+    rows += bench_garch(np.random.default_rng(0), 200_000)
     rows = [row + (None,) for row in rows] + bench_levy()
 
     route = "python"

@@ -4,7 +4,9 @@ The two metric decision kernels are numpy sweeps: the strong-M1 free-space
 sweep runs one column of cells per step, over the curve with fewer
 segments, and the J1 alignment DP one row of states per step, over the
 shorter jump list.  The sweep takes both curves' segment geometry once per
-call, and a column's upward chain is an exact running max on complex keys
+call and the edge windows of a run of columns (up to ``RUN_CELLS`` band
+cells) in one vector pass, so a column step only propagates reach; a
+column's upward chain is an exact running max on complex keys
 (``notes/decisions.md``, "Strong-M1 decision kernel").  The J1 DP's two
 sweeps evaluate the same float expressions, so swapping the sweep's
 orientation changes no decision.  The GARCH recursion
@@ -20,6 +22,11 @@ USE_NUMBA = False
 # beat the rounding of ``_free_window`` on times in [0, 1] (about 1e-16), so
 # that no cell whose windows come out free can fall outside the band.
 BAND_SLACK = 1e-9
+
+# Band cells whose edge windows ``frechet_feasible`` computes in one vector
+# pass ahead of the column loop; a run always holds at least one whole
+# column.  Larger runs cost memory and, after an early exit, wasted cells.
+RUN_CELLS = 4096
 
 
 def _segments(c):
@@ -38,8 +45,10 @@ def _free_window(a, c0, flat, span, d):
     ``flat`` and ``span`` come from ``_segments``.  Elementwise over
     broadcast arrays; an empty window is (1, -1).
     """
-    lo = (a - d - c0) / span
-    hi = (a + d - c0) / span
+    # a span near zero overflows to +-inf, which the clip below maps to 0 or 1
+    with np.errstate(over="ignore"):
+        lo = (a - d - c0) / span
+        hi = (a + d - c0) / span
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     lo = np.maximum(lo, 0.0)
     hi = np.minimum(hi, 1.0)
@@ -112,13 +121,14 @@ def frechet_feasible(pt, pv, qt, qv, d):
     The curves are polylines (completed graphs); the ground metric is the
     max of time and value gaps, so cell free sets are convex and reach
     propagates through edge intervals (Alt & Godau 1995).  The sweep runs
-    column by column over the curve with fewer segments, computes a
-    column's edge windows at once, and visits only the rows whose time
-    range lies within d (plus ``BAND_SLACK``) of the column's: outside that
-    band both edge windows of a cell are empty.  It stops as soon as no
-    right edge of a column is reachable and the bottom boundary is spent.
-    Both curves' segment geometry is computed once per call; a column's top
-    windows are taken against its one segment.
+    column by column over the curve with fewer segments and visits only the
+    rows whose time range lies within d (plus ``BAND_SLACK``) of the
+    column's: outside that band both edge windows of a cell are empty.  It
+    stops as soon as no right edge of a column is reachable and the bottom
+    boundary is spent.  Both curves' segment geometry is computed once per
+    call, and the edge windows of a run of columns, up to ``RUN_CELLS``
+    band cells and at least one column, in one ``_run_windows`` pass; the
+    column step then only propagates reach.
     """
     p = pt.shape[0] - 1
     q = qt.shape[0] - 1
@@ -132,8 +142,8 @@ def frechet_feasible(pt, pv, qt, qv, d):
 
     ps = np.stack([pt, pv])
     qs = np.stack([qt, qv])
-    q0, qflat, qspan = rows = _segments(qs)
-    p0, pflat, pspan = cols = _segments(ps)
+    rows = _segments(qs)
+    cols = _segments(ps)
     bottom, _ = _boundary_climb(qs[:, :1], cols, d)
     n_bottom = int(bottom.sum())
     left, left_hi = _boundary_climb(ps[:, :1], rows, d)
@@ -145,16 +155,22 @@ def frechet_feasible(pt, pv, qt, qv, d):
     # with i, so a row a column leaves is never read again.
     first = np.searchsorted(qt[1:], pt[:-1] - (d + BAND_SLACK), side="left")
     stop = np.searchsorted(qt[:-1], pt[1:] + (d + BAND_SLACK), side="right")
+    counts = stop - first
+    # column i's band cells are [offsets[i], offsets[i + 1]) of all columns'
+    offsets = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    firsts, stops, offs = first.tolist(), stop.tolist(), offsets.tolist()
+    run_end = 0
     for i in range(p):
-        a, b = int(first[i]), int(stop[i])
-        rlo, rhi = _free_point_seg(
-            ps[:, i + 1 : i + 2], (q0[:, a:b], qflat[:, a:b], qspan[:, a:b]), d
-        )
-        tlo, thi = _free_point_seg(
-            qs[:, a + 1 : b + 1],
-            (p0[:, i : i + 1], pflat[:, i : i + 1], pspan[:, i : i + 1]),
-            d,
-        )
+        if i == run_end:
+            # the columns whose cells fit in RUN_CELLS, and at least column i
+            run_base = offs[i]
+            fit = int(np.searchsorted(offsets, run_base + RUN_CELLS, side="right"))
+            run_end = max(fit - 1, i + 1)
+            win = _run_windows(ps, qs, cols, rows, first[i:run_end], counts[i:run_end], i, d)
+        a, b = firsts[i], stops[i]
+        o, e = offs[i] - run_base, offs[i + 1] - run_base
+        rlo, rhi, tlo, thi = (w[o:e] for w in win)
         cur_llo = llo[a:b]
         has_l = cur_llo <= lhi[a:b]
         start_alive = a == 0 and i < n_bottom
@@ -174,6 +190,28 @@ def frechet_feasible(pt, pv, qt, qv, d):
         if i + 1 >= n_bottom and not np.any(nrlo <= nrhi):
             return False
     return False
+
+
+def _run_windows(ps, qs, cols, rows, first, counts, i0, d):
+    """Edge windows of the band cells of the columns i0, i0 + 1, ...
+
+    ``first`` and ``counts`` give each column's first band row and row
+    count; the cells are flattened column by column.  Returns the right
+    windows (each column's end point against its rows' segments) and the
+    top windows (the rows' end points against the column's segment) as
+    (rlo, rhi, tlo, thi).  Each window is the same elementwise expression
+    on the same operands as one column at a time, so every bit is kept.
+    """
+    col = np.repeat(np.arange(i0, i0 + counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    row = np.arange(col.size) + np.repeat(first - starts, counts)
+    rlo, rhi = _free_point_seg(
+        np.take(ps, col + 1, axis=1), tuple(np.take(s, row, axis=1) for s in rows), d
+    )
+    tlo, thi = _free_point_seg(
+        np.take(qs, row + 1, axis=1), tuple(np.take(s, col, axis=1) for s in cols), d
+    )
+    return rlo, rhi, tlo, thi
 
 
 def j1_feasible(tx, sy, levx, levy, d):

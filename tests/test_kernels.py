@@ -7,6 +7,7 @@ a time band and may stop early, so the only acceptable difference is none.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 
 import kernel_oracle as oracle
 from m1lab import config, kernels, lab
-from m1lab.paths import CadlagPath, _jump_sequence, completed_graph, uniform_distance
+from m1lab.paths import (
+    CadlagPath,
+    _jump_sequence,
+    completed_graph,
+    m1_distance_detailed,
+    uniform_distance,
+)
 
 
 def _assert_m1_same(x, y, d):
@@ -277,3 +284,165 @@ def test_top_chain_max_is_exact(rng):
                     rng.choice(near, m), rng.choice(near, m))
             assert int(args[1].sum()) > 1000
             assert list(kernels._top_chain(*args)) == _chain_by_loop(*args)
+
+
+def _tiny_span_cases():
+    # segments whose span underflows to a subnormal, rising and falling, so
+    # (a -+ d - c0) / span overflows to +-inf before the clip to [0, 1]
+    c0 = np.array([0.0, 1e-310, 0.0, 5e-324, 0.0, 0.4])
+    c1 = np.array([1e-310, 0.0, 5e-324, 0.0, 0.0, 0.7])
+    a = np.array([0.5, -0.5, 1e-310, 0.25, 0.0, 1.0])
+    return a, c0, c1
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-310, 0.1])
+def test_tiny_span_windows_match_oracle_without_warnings(d):
+    a, c0, c1 = _tiny_span_cases()
+    start, flat, span = kernels._segments(np.column_stack([c0, c1]))
+    assert ((np.abs(span) < 1e-300) & ~flat).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = kernels._free_window(a[:, None], start.T, flat.T, span.T, d)
+    for i in range(a.size):
+        for k in range(a.size):
+            want = oracle._free_window(float(a[i]), float(c0[k]), float(c1[k]), d)
+            assert (lo[i, k], hi[i, k]) == want
+
+
+def test_tiny_span_decisions_match_oracle_without_warnings():
+    # a graph whose first segment lasts 1e-310 in time and rises 1e-310
+    x = CadlagPath([0.0, 1e-310, 0.5], [0.0, 1e-310, 1.0], "pl")
+    y = CadlagPath([0.0, 0.25, 0.75], [0.0, 0.5, 1.0])
+    pt, pv = completed_graph(x)
+    qt, qv = completed_graph(y)
+    assert 0.0 < pt[1] - pt[0] < 1e-300
+    for d in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0):
+        with np.errstate(over="ignore"):
+            want = bool(oracle._frechet_feasible(pt, pv, qt, qv, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernels.frechet_feasible(pt, pv, qt, qv, d) is want, d
+            assert kernels.frechet_feasible(qt, qv, pt, pv, d) is want, d
+
+
+class TestWindowRuns:
+    """The sweep computes the edge windows of a run of columns, up to
+    ``RUN_CELLS`` band cells, ahead of the column loop; these decisions
+    cross run boundaries in each way a run can end, in both argument
+    orders."""
+
+    @staticmethod
+    def _decide(monkeypatch, x, y, d):
+        """The oracle's decision, checked in both orders, and per order the
+        number of runs and of columns the sweep visited."""
+        pt, pv = completed_graph(x)
+        qt, qv = completed_graph(y)
+        want = bool(oracle._frechet_feasible(pt, pv, qt, qv, d))
+        counts = {"_free_point_seg": 0, "_top_chain": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(kernels, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        shapes = []
+        for args in ((pt, pv, qt, qv, d), (qt, qv, pt, pv, d)):
+            for name in counts:
+                counts[name] = 0
+            assert kernels.frechet_feasible(*args) is want, d
+            # two boundary climbs, then two window passes per run
+            runs, rest = divmod(counts["_free_point_seg"] - 2, 2)
+            assert rest == 0
+            shapes.append((runs, counts["_top_chain"]))
+        monkeypatch.undo()
+        assert shapes[0] == shapes[1]
+        return want, shapes[0]
+
+    def test_band_over_several_runs(self, monkeypatch, rng):
+        x = random_step_path(rng, 60)
+        y = random_step_path(rng, 70)
+        p = completed_graph(x)[0].size - 1
+        q = completed_graph(y)[0].size - 1
+        assert p * q > 3 * kernels.RUN_CELLS
+        seen = set()
+        for d in _radii(x, y, [0.3, 0.6, 0.9]) + _bracket(x, y):
+            want, (runs, columns) = self._decide(monkeypatch, x, y, d)
+            if runs >= 3:
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_column_band_over_the_cap(self, monkeypatch, rng):
+        # at d >= 1 the band is every row, and the long graph has more
+        # segments than a run has cells, so each run is one whole column
+        x = random_step_path(rng, 3)
+        y = random_step_path(rng, 2100)
+        p = min(completed_graph(x)[0].size, completed_graph(y)[0].size) - 1
+        assert max(completed_graph(x)[0].size, completed_graph(y)[0].size) - 1 > kernels.RUN_CELLS
+        seen = set()
+        for d in [max(1.0, uniform_distance(x, y))] + _bracket(x, y):
+            assert d >= 1.0
+            want, (runs, columns) = self._decide(monkeypatch, x, y, d)
+            if runs == columns == p:
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_early_exit_inside_the_first_run(self, monkeypatch, rng):
+        # a spike of x that y never comes near kills every reach at its
+        # column; the whole diagram fits in one run
+        x = CadlagPath([0.0, 0.4, 0.45, 0.8], [0.0, 10.0, 0.0, 0.5])
+        y = random_step_path(rng, 30, scale=0.2)
+        y = CadlagPath(y.times, y.values[:, 0] - y.values[0, 0], "step")
+        p = completed_graph(x)[0].size - 1
+        q = completed_graph(y)[0].size - 1
+        assert p < q and p * q <= kernels.RUN_CELLS
+        d = 1.0 + abs(0.5 - y.values[-1, 0])
+        want, (runs, columns) = self._decide(monkeypatch, x, y, d)
+        assert not want and runs == 1 and 0 < columns < p
+
+    def test_run_windows_equal_per_column_windows(self, rng):
+        # the bits of one column's windows, computed on its own slices, at
+        # every cell of a run of columns with bands of any place and length
+        pt, pv = completed_graph(random_step_path(rng, 20))
+        qt, qv = completed_graph(random_step_path(rng, 40))
+        ps, qs = np.stack([pt, pv]), np.stack([qt, qv])
+        cols, rows = kernels._segments(ps), kernels._segments(qs)
+        p, q = pt.size - 1, qt.size - 1
+        for d in (0.0, 0.3, 1.0, 3.0):
+            i0 = int(rng.integers(0, p - 5))
+            first = rng.integers(0, q, 5)
+            counts = rng.integers(1, q + 1 - first)
+            got = kernels._run_windows(ps, qs, cols, rows, first, counts, i0, d)
+            at = 0
+            for i, a, n in zip(range(i0, i0 + 5), first, counts):
+                right = kernels._free_point_seg(
+                    ps[:, i + 1 : i + 2], tuple(s[:, a : a + n] for s in rows), d
+                )
+                top = kernels._free_point_seg(
+                    qs[:, a + 1 : a + n + 1], tuple(s[:, i : i + 1] for s in cols), d
+                )
+                for w, want in zip(got, right + top):
+                    assert w[at : at + n].tobytes() == want.tobytes()
+                at += n
+            assert all(w.size == at for w in got)
+
+    @pytest.mark.parametrize("cells", [1, 7, 50])
+    def test_small_runs_random_pairs(self, monkeypatch, rng, cells):
+        # every run boundary lands somewhere else than in one whole pass
+        for _ in range(20):
+            x = random_step_path(rng, int(rng.integers(1, 25)))
+            y = random_step_path(rng, int(rng.integers(1, 25)))
+            for d in _radii(x, y, [0.2, 0.5, 0.8]):
+                monkeypatch.setattr(kernels, "RUN_CELLS", cells)
+                _assert_m1_same(x, y, d)
+                monkeypatch.undo()
+
+
+def _bracket(x, y):
+    """The two ends of the M1 bisection's final bracket, where the decision
+    flips from False to True."""
+    res = m1_distance_detailed(x, y, resolution=8192)
+    return [res.lower, res.upper]
+
+
+def random_step_path(rng, n_jumps, scale=1.0):
+    times = np.concatenate([[0.0], np.unique(rng.random(n_jumps))])
+    return CadlagPath(times, scale * np.cumsum(rng.standard_normal(times.size)), "step")
