@@ -325,6 +325,18 @@ def test_tiny_span_decisions_match_oracle_without_warnings():
             assert kernels.frechet_feasible(qt, qv, pt, pv, d) is want, d
 
 
+def _bracket(x, y):
+    """The two ends of the M1 bisection's final bracket, where the decision
+    flips from False to True."""
+    res = m1_distance_detailed(x, y, resolution=8192)
+    return [res.lower, res.upper]
+
+
+def random_step_path(rng, n_jumps, scale=1.0):
+    times = np.concatenate([[0.0], np.unique(rng.random(n_jumps))])
+    return CadlagPath(times, scale * np.cumsum(rng.standard_normal(times.size)), "step")
+
+
 class TestWindowRuns:
     """The sweep computes the edge windows of a run of columns, up to
     ``RUN_CELLS`` band cells, ahead of the column loop; these decisions
@@ -334,25 +346,33 @@ class TestWindowRuns:
     @staticmethod
     def _decide(monkeypatch, x, y, d):
         """The oracle's decision, checked in both orders, and per order the
-        number of runs and of columns the sweep visited."""
+        number of runs, the most cells in one run and the number of
+        columns the sweep visited."""
         pt, pv = completed_graph(x)
         qt, qv = completed_graph(y)
         want = bool(oracle._frechet_feasible(pt, pv, qt, qv, d))
-        counts = {"_free_point_seg": 0, "_top_chain": 0}
-        for name in counts:
-            def counted(*args, _fn=getattr(kernels, name), _name=name):
-                counts[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(kernels, name, counted)
+        windows, columns = [], []
+        point_seg, top_chain = kernels._free_point_seg, kernels._top_chain
+
+        def counted_windows(a, segs, d):
+            windows.append(np.broadcast_shapes(a.shape, segs[0].shape)[1])
+            return point_seg(a, segs, d)
+
+        def counted_columns(*args):
+            columns.append(1)
+            return top_chain(*args)
+
+        monkeypatch.setattr(kernels, "_free_point_seg", counted_windows)
+        monkeypatch.setattr(kernels, "_top_chain", counted_columns)
         shapes = []
         for args in ((pt, pv, qt, qv, d), (qt, qv, pt, pv, d)):
-            for name in counts:
-                counts[name] = 0
+            windows.clear()
+            columns.clear()
             assert kernels.frechet_feasible(*args) is want, d
-            # two boundary climbs, then two window passes per run
-            runs, rest = divmod(counts["_free_point_seg"] - 2, 2)
-            assert rest == 0
-            shapes.append((runs, counts["_top_chain"]))
+            # two boundary climbs, then a right and a top pass per run
+            runs = windows[2::2]
+            assert runs == windows[3::2]
+            shapes.append((len(runs), max(runs, default=0), len(columns)))
         monkeypatch.undo()
         assert shapes[0] == shapes[1]
         return want, shapes[0]
@@ -365,7 +385,8 @@ class TestWindowRuns:
         assert p * q > 3 * kernels.RUN_CELLS
         seen = set()
         for d in _radii(x, y, [0.3, 0.6, 0.9]) + _bracket(x, y):
-            want, (runs, columns) = self._decide(monkeypatch, x, y, d)
+            want, (runs, most, columns) = self._decide(monkeypatch, x, y, d)
+            assert most <= kernels.RUN_CELLS
             if runs >= 3:
                 seen.add(want)
         assert seen == {True, False}
@@ -375,13 +396,14 @@ class TestWindowRuns:
         # segments than a run has cells, so each run is one whole column
         x = random_step_path(rng, 3)
         y = random_step_path(rng, 2100)
-        p = min(completed_graph(x)[0].size, completed_graph(y)[0].size) - 1
-        assert max(completed_graph(x)[0].size, completed_graph(y)[0].size) - 1 > kernels.RUN_CELLS
+        p = completed_graph(x)[0].size - 1
+        q = completed_graph(y)[0].size - 1
+        assert p < q and q > kernels.RUN_CELLS
         seen = set()
         for d in [max(1.0, uniform_distance(x, y))] + _bracket(x, y):
             assert d >= 1.0
-            want, (runs, columns) = self._decide(monkeypatch, x, y, d)
-            if runs == columns == p:
+            want, (runs, most, columns) = self._decide(monkeypatch, x, y, d)
+            if runs == columns == p and most > kernels.RUN_CELLS:
                 seen.add(want)
         assert seen == {True, False}
 
@@ -395,7 +417,7 @@ class TestWindowRuns:
         q = completed_graph(y)[0].size - 1
         assert p < q and p * q <= kernels.RUN_CELLS
         d = 1.0 + abs(0.5 - y.values[-1, 0])
-        want, (runs, columns) = self._decide(monkeypatch, x, y, d)
+        want, (runs, most, columns) = self._decide(monkeypatch, x, y, d)
         assert not want and runs == 1 and 0 < columns < p
 
     def test_run_windows_equal_per_column_windows(self, rng):
@@ -427,22 +449,9 @@ class TestWindowRuns:
     @pytest.mark.parametrize("cells", [1, 7, 50])
     def test_small_runs_random_pairs(self, monkeypatch, rng, cells):
         # every run boundary lands somewhere else than in one whole pass
+        monkeypatch.setattr(kernels, "RUN_CELLS", cells)
         for _ in range(20):
             x = random_step_path(rng, int(rng.integers(1, 25)))
             y = random_step_path(rng, int(rng.integers(1, 25)))
             for d in _radii(x, y, [0.2, 0.5, 0.8]):
-                monkeypatch.setattr(kernels, "RUN_CELLS", cells)
                 _assert_m1_same(x, y, d)
-                monkeypatch.undo()
-
-
-def _bracket(x, y):
-    """The two ends of the M1 bisection's final bracket, where the decision
-    flips from False to True."""
-    res = m1_distance_detailed(x, y, resolution=8192)
-    return [res.lower, res.upper]
-
-
-def random_step_path(rng, n_jumps, scale=1.0):
-    times = np.concatenate([[0.0], np.unique(rng.random(n_jumps))])
-    return CadlagPath(times, scale * np.cumsum(rng.standard_normal(times.size)), "step")
