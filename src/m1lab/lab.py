@@ -329,8 +329,10 @@ def _contrast_distances(spec, n, a_n, scheme, base, resolution, start, count):
     for x in replicate_samples(spec, n, base, count, start):
         path = build_Ln(x, a_n).l1
         collapsed = collapse_clusters(path, scheme)
-        m1d = m1_distance_detailed(path, collapsed, resolution)
-        out.append((m1d.value, m1d.tol, j1_distance(path, collapsed, resolution)))
+        # J1 first: it bounds M1 from above and settles its widest radii
+        j1 = j1_distance(path, collapsed, resolution)
+        m1d = m1_distance_detailed(path, collapsed, resolution, upper=j1)
+        out.append((m1d.value, m1d.tol, j1))
     return out
 
 

@@ -8,7 +8,8 @@ a pair of strong parametric representations with a common parameter is
 exactly a pair of monotone traversals of the two graphs.  That distance is
 computed by bisection over a free-space reachability sweep, which yields a
 certified upper endpoint within a resolution-controlled gap of the true
-infimum.
+infimum.  Radii well below the graphs' sup and inf gaps, or well above a
+known upper end such as the J1 distance, are answered without a sweep.
 
 Paths are immutable after construction and every operation here is a pure
 function, safe for concurrent use.
@@ -223,8 +224,35 @@ def _bisect_metric(x, y, resolution, feasible):
     return M1Result(hi, lo, hi, hi0, tol)
 
 
-def m1_distance_detailed(x, y, resolution=4096):
-    """Strong M1 distance of scalar paths with its certified bracket."""
+def _settled_bracket(pv, qv, upper):
+    """(false_below, true_above) for the strong-M1 decision between the
+    completed graphs with values pv and qv: radii below the first are
+    infeasible and radii above the second feasible, without a sweep.
+
+    The values of a completed graph span its path's [inf, sup], so every
+    alignment pays max(|sup x - sup y|, |inf x - inf y|); ``upper`` is a
+    certified upper end of M1.  Both bounds move outward by 1e-9 times the
+    largest magnitude the kernel computes with (the unit time span and the
+    values of both graphs).  Its window expressions round by a few ulps of
+    that magnitude, so a settled answer is the one the kernel would give
+    (``notes/decisions.md``, "Bisection: certified bounds settle
+    decisions").
+    """
+    p_sup, p_inf = float(pv.max()), float(pv.min())
+    q_sup, q_inf = float(qv.max()), float(qv.min())
+    slack = 1e-9 * max(1.0, p_sup, -p_inf, q_sup, -q_inf)
+    gap = max(abs(p_sup - q_sup), abs(p_inf - q_inf))
+    return gap - slack, upper + slack
+
+
+def m1_distance_detailed(x, y, resolution=4096, upper=np.inf):
+    """Strong M1 distance of scalar paths with its certified bracket.
+
+    ``upper`` is a certified upper end of the distance, such as
+    :func:`j1_distance` of the same step paths (M1 <= J1).  It and the
+    graphs' sup and inf gaps settle bisection radii well outside them
+    without a kernel call; they change no midpoint and no returned bit.
+    """
     if x.dim != 1 or y.dim != 1:
         raise DimensionError(
             "strong M1 is per-coordinate; use weak_m1_distance for multivariate paths"
@@ -239,8 +267,13 @@ def m1_distance_detailed(x, y, resolution=4096):
     x, y = _canonical_pair(x, y)
     pt, pv = completed_graph(x)
     qt, qv = completed_graph(y)
+    false_below, true_above = _settled_bracket(pv, qv, upper)
 
     def feasible(d):
+        if d < false_below:
+            return False
+        if d > true_above:
+            return True
         return bool(kernels.frechet_feasible(pt, pv, qt, qv, d))
 
     return _bisect_metric(x, y, resolution, feasible)

@@ -20,8 +20,11 @@ def _free_window(a, c0, c1, d):
         if abs(a - c0) <= d:
             return 0.0, 1.0
         return 1.0, -1.0
-    lo = (a - d - c0) / dc
-    hi = (a + d - c0) / dc
+    # a span near zero overflows numpy scalars to +-inf, which the clip
+    # below maps to 0 or 1
+    with np.errstate(over="ignore", divide="ignore"):
+        lo = (a - d - c0) / dc
+        hi = (a + d - c0) / dc
     if lo > hi:
         lo, hi = hi, lo
     if lo < 0.0:

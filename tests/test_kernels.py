@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
-from m1lab import config, kernels, lab
+from m1lab import config, kernels, lab, paths
 from m1lab.paths import (
     CadlagPath,
     _jump_sequence,
@@ -141,15 +141,46 @@ class TestFrechetOracle:
                 _assert_m1_same(ramp, other, d)
 
     def test_contrast_bisection_radii(self, monkeypatch):
-        # every decision the contrast check asks for, at n = 100 and 300
+        # every radius the contrast check's M1 bisections decide, at n = 100
+        # and 300: the kernel's answer where it is asked, and where the
+        # pair's bounds settle the radius (paths._settled_bracket) the
+        # settled answer, each against the oracle.  The bisections are
+        # replayed with the oracle deciding every radius; the radii inside
+        # the bounds must be the ones the kernel was asked, in order
+        pairs = []
+        m1 = lab.m1_distance_detailed
+
+        def recording(x, y, resolution, upper):
+            pairs.append((x, y, resolution, upper))
+            return m1(x, y, resolution, upper=upper)
+
+        monkeypatch.setattr(lab, "m1_distance_detailed", recording)
         calls = _contrast_calls(monkeypatch, "frechet_feasible")
-        assert len(calls) > 40
-        decisions = set()
-        for pt, pv, qt, qv, d in calls:
-            want = bool(oracle._frechet_feasible(pt, pv, qt, qv, d))
-            assert kernels.frechet_feasible(pt, pv, qt, qv, d) is want, d
-            decisions.add(want)
-        assert decisions == {True, False}
+        asked, settled = [], []
+        for x, y, resolution, upper in pairs:
+            x, y = paths._canonical_pair(x, y)
+            pt, pv = completed_graph(x)
+            qt, qv = completed_graph(y)
+            false_below, true_above = paths._settled_bracket(pv, qv, upper)
+
+            def by_oracle(d):
+                want = bool(oracle._frechet_feasible(pt, pv, qt, qv, d))
+                if false_below <= d <= true_above:
+                    asked.append(((pt, pv, qt, qv, d), want))
+                else:
+                    settled.append((bool(d > true_above), want, d))
+                return want
+
+            paths._bisect_metric(x, y, resolution, by_oracle)
+        assert len(asked) + len(settled) > 40
+        assert len(asked) == len(calls)
+        for (args, want), call in zip(asked, calls):
+            assert all(np.array_equal(a, b) for a, b in zip(args, call))
+            assert kernels.frechet_feasible(*args) is want, args[-1]
+        assert {a for a, want, d in settled} == {True, False}
+        for answer, want, d in settled:
+            assert answer is want, d
+        assert {want for _, want in asked} == {True, False}
 
 
 class TestJ1Oracle:

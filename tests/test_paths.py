@@ -1,4 +1,7 @@
 import io
+import os
+import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
-from m1lab import kernels
+from m1lab import config, kernels, lab
 from m1lab.paths import (
     PL,
     STEP,
@@ -14,7 +17,10 @@ from m1lab.paths import (
     DimensionError,
     PathError,
     PreconditionError,
+    _bisect_metric,
+    _canonical_pair,
     _jump_sequence,
+    _settled_bracket,
     completed_graph,
     eval_path,
     is_monotone_nondecreasing,
@@ -29,6 +35,8 @@ from m1lab.paths import (
     uniform_distance,
     weak_m1_distance,
 )
+from m1lab.sumproc import collapse_clusters
+from m1lab.tailstats import BlockingScheme
 from conftest import make_step_path
 
 STEP_05 = CadlagPath([0.0, 0.5], [0.0, 1.0])
@@ -423,6 +431,145 @@ class TestGraphExtraction:
         gt, gv = completed_graph(path)
         assert not np.shares_memory(gt, path.times)
         assert not np.shares_memory(gv, path.values)
+
+
+def _kernel_bisection(x, y, resolution, upper):
+    """The M1 bisection of x, y with the kernel asked at every radius, and
+    per radius (radius, the kernel's answer, the answer the known bounds
+    settle it to or None)."""
+    x, y = _canonical_pair(x, y)
+    pt, pv = completed_graph(x)
+    qt, qv = completed_graph(y)
+    false_below, true_above = _settled_bracket(pv, qv, upper)
+    decisions = []
+
+    def kernel(d):
+        want = bool(kernels.frechet_feasible(pt, pv, qt, qv, d))
+        settled = False if d < false_below else True if d > true_above else None
+        decisions.append((d, want, settled))
+        return want
+
+    return _bisect_metric(x, y, resolution, kernel), decisions
+
+
+def _bits(res):
+    return [float(v).hex() for v in astuple(res)]
+
+
+def _assert_settled_exact(x, y, resolution, upper):
+    """Every radius the known bounds settle gets the kernel's answer, so the
+    bounded bisection returns the kernel-only bisection's bits.  Returns
+    the result and the number of settled radii."""
+    want, decisions = _kernel_bisection(x, y, resolution, upper)
+    settled = [(d, kernel, s) for d, kernel, s in decisions if s is not None]
+    for d, kernel, s in settled:
+        assert s is kernel, d
+    res = m1_distance_detailed(x, y, resolution, upper=upper)
+    assert _bits(res) == _bits(want) == _bits(m1_distance_detailed(x, y, resolution))
+    return res, len(settled)
+
+
+def _assert_gaps_below(x, y, res):
+    """The sup and inf gaps are lower bounds of M1, so of its upper end."""
+    vx, vy = x.values[:, 0], y.values[:, 0]
+    assert max(abs(vx.max() - vy.max()), abs(vx.min() - vy.min())) <= res.value
+
+
+def _digest_configs():
+    """(name, text, overrides) of every config ``benchmarks/bundle_digests.py``
+    prints without ``--full``."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "benchmarks")
+    sys.path.insert(0, bench)
+    try:
+        import bundle_digests
+    finally:
+        sys.path.remove(bench)
+    return bundle_digests.CONFIGS + bundle_digests.VARIANTS
+
+
+@st.composite
+def collapse_pairs(draw):
+    """A step path on the grid k / n, as ``build_Ln`` makes it, and its
+    collapse over blocks of r >= 2 steps; repeated and zero steps occur."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    r = draw(st.integers(min_value=2, max_value=n))
+    step = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
+    steps = draw(st.lists(step, min_size=n, max_size=n))
+    path = CadlagPath(np.arange(n + 1) / n, np.concatenate([[0.0], np.cumsum(steps)]))
+    return path, collapse_clusters(path, BlockingScheme(r))
+
+
+class TestSettledBisection:
+    """The sup and inf gaps bound M1 from below and a certified upper end
+    (J1 in the contrast check) from above; radii outside them take the
+    bound's answer without a kernel call, and that answer must be the
+    kernel's (``notes/decisions.md``, "Bisection: certified bounds settle
+    decisions")."""
+
+    def test_contrast_replicates_of_the_digest_configs(self, monkeypatch):
+        pairs = []
+        m1 = lab.m1_distance_detailed
+
+        def recording(x, y, resolution, upper):
+            pairs.append((x, y, resolution, upper))
+            return m1(x, y, resolution, upper=upper)
+
+        # one CPU: no replicate runs in a forked process, out of sight
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(lab, "m1_distance_detailed", recording)
+        configs = _digest_configs()
+        for _, text, overrides in configs:
+            cfg, _ = config.parse_config(text, overrides=overrides)
+            lab.run_j1_vs_m1_contrast(cfg)
+        monkeypatch.undo()
+        assert len(pairs) >= 4 * len(configs)
+        settled = 0
+        for x, y, resolution, upper in pairs:
+            assert upper == j1_distance(x, y, resolution)
+            res, count = _assert_settled_exact(x, y, resolution, upper)
+            _assert_gaps_below(x, y, res)
+            settled += count
+        assert settled > len(pairs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(collapse_pairs())
+    def test_step_paths_against_their_collapse(self, pair):
+        path, collapsed = pair
+        upper = j1_distance(path, collapsed, 4096)
+        res, _ = _assert_settled_exact(path, collapsed, 4096, upper)
+        _assert_gaps_below(path, collapsed, res)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([STEP, PL]))
+    def test_random_pairs_bounded_below_only(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        x = make_step_path(rng, max_jumps=12)
+        y = make_step_path(rng, max_jumps=12)
+        y = CadlagPath(y.times, y.values, kind)
+        res, _ = _assert_settled_exact(x, y, 4096, np.inf)
+        _assert_gaps_below(x, y, res)
+
+    def test_margin_scales_with_the_values(self):
+        # two tents at a large offset whose M1 is the sup gap: the kernel
+        # (and the oracle) answer True at a bisection radius 1e-3 relative
+        # below the gap, where the rounding of the offset outweighs it, so a
+        # margin relative to the gap alone would settle it wrongly
+        off, rise, top = 333598.6377275545, 9.45993790508345e-07, 0.5600603155793924
+        gap = 2.1279386848634682e-08
+        x = CadlagPath([0.0, top, 1.0], [off, off + rise + gap, off], PL)
+        y = CadlagPath([0.0, top, 1.0], [off, off + rise, off], PL)
+        _, decisions = _kernel_bisection(x, y, 4096, np.inf)
+        sup_gap = x.values.max() - y.values.max()
+        early = [d for d, kernel, _ in decisions if kernel and d < sup_gap * (1 - 1e-9)]
+        assert early
+        pt, pv = completed_graph(x)
+        qt, qv = completed_graph(y)
+        for d in early:
+            assert oracle._frechet_feasible(pt, pv, qt, qv, d)
+        # rounding puts even the bisection's upper end below the gap
+        res, settled = _assert_settled_exact(x, y, 4096, np.inf)
+        assert settled == 0 and res.value < sup_gap
 
 
 class TestMonotone:
