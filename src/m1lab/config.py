@@ -108,8 +108,6 @@ SCHEMA = {
         "karamata_rel": (_as_float, 0.05),
         "theta_abs": (_as_float, 0.08),
         "m1_j1_frac": (_as_float, 0.95),
-        "charfn_rel": (_as_float, 1e-3),
-        "metric_triangle_slack": (_as_float, 1e-6),
     },
 }
 
@@ -285,14 +283,6 @@ def parse_config(text, overrides=(), env=None):
     tolerances = {key: values[("tolerances", key)] for key in SCHEMA["tolerances"]}
     run = {key: values[("run", key)] for key in SCHEMA["run"]}
     return ExperimentConfig(model=model, tolerances=tolerances, **run), echo
-
-
-def default_config(**over):
-    """Programmatic config with keyword overrides like model or replicates."""
-    cfg, _ = parse_config("", overrides=())
-    if over:
-        cfg = replace_config(cfg, **over)
-    return cfg
 
 
 def replace_config(cfg, **over):

@@ -166,36 +166,33 @@ def linear_cluster_law(spec):
     return ClusterDistribution(p=spec.innovation.p, shape=np.asarray(spec.coeffs))
 
 
-def _garch_path(spec, n, seed, burnin):
+def _garch_path(spec, n, seed):
     """(X_k, sigma_k^2) for k = 1..n after a burn-in, from standard normal noise."""
     if n < 1:
         raise ModelError("need n >= 1")
-    if burnin is None:
-        # geometric-ergodicity heuristic; generous and configurable upstream
-        rate = min(spec.a1 + spec.b1, 0.99)
-        burn = max(1000, int(50.0 / (1.0 - rate)))
-    else:
-        burn = int(burnin)
+    # geometric-ergodicity heuristic, generous
+    rate = min(spec.a1 + spec.b1, 0.99)
+    burn = max(1000, int(50.0 / (1.0 - rate)))
     z = seeded_rng(seed).standard_normal(n + burn)
     denom = 1.0 - (spec.a1 + spec.b1)
     s0 = spec.omega / denom if denom > 0.0 else spec.omega
     return kernels.garch_recursion(z, spec.omega, spec.a1, spec.b1, s0, burn)
 
 
-def sample_garch(spec, n, seed, burnin=None):
+def sample_garch(spec, n, seed):
     if spec.a1 == 0.0 and spec.b1 == 0.0:
         import warnings
 
         warnings.warn(
             "a1 = b1 = 0 degenerates to i.i.d. scaled noise", UserWarning, stacklevel=2
         )
-    x, _sig2 = _garch_path(spec, n, seed, burnin)
+    x, _sig2 = _garch_path(spec, n, seed)
     return SeriesSample(x)
 
 
-def sample_squared_garch(spec, n, seed, burnin=None):
+def sample_squared_garch(spec, n, seed):
     """Nonnegative vector series (X_k^2, sigma_k^2) of the inner GARCH."""
-    x, sig2 = _garch_path(spec.inner, n, seed, burnin)
+    x, sig2 = _garch_path(spec.inner, n, seed)
     return SeriesSample(np.column_stack([x**2, sig2]))
 
 
@@ -212,8 +209,10 @@ def garch_moment(spec, alpha):
 
 
 # the small exponent s at which E[(a1 Z^2 + b1)^s] - 1 carries the sign of
-# E log(a1 Z^2 + b1), and the bracket's lower end in solve_garch_alpha
+# E log(a1 Z^2 + b1), and the bracket's lower end in solve_garch_alpha; the
+# cap on the exponents that search tries for the upper end
 _GARCH_S_MIN = 1e-6
+_GARCH_ALPHA_MAX = 10.0
 
 
 def require_stationary_garch(spec):
@@ -230,8 +229,8 @@ def require_stationary_garch(spec):
         )
 
 
-def solve_garch_alpha(spec, tol=1e-10, alpha_max=10.0):
-    """Root of E[(a1 Z^2 + b1)^alpha] = 1 on (0, alpha_max].
+def solve_garch_alpha(spec, tol=1e-10):
+    """Root of E[(a1 Z^2 + b1)^alpha] = 1 on (0, ``_GARCH_ALPHA_MAX``].
 
     The root is the tail index of the squared-volatility recursion (the
     squared series; the raw series has twice this index).
@@ -251,14 +250,14 @@ def solve_garch_alpha(spec, tol=1e-10, alpha_max=10.0):
     lo = _GARCH_S_MIN
     hi = None
     a = 0.25
-    while a <= alpha_max:
+    while a <= _GARCH_ALPHA_MAX:
         if f(a) > 0.0:
             hi = a
             break
         lo = a
         a *= 2.0
     if hi is None:
-        raise ModelError(f"no sign change of the moment equation on (0, {alpha_max}]")
+        raise ModelError(f"no sign change of the moment equation on (0, {_GARCH_ALPHA_MAX}]")
     from scipy import optimize
 
     root = optimize.brentq(f, lo, hi, xtol=tol, rtol=1e-16 * 16)

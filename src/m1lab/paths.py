@@ -6,10 +6,11 @@ distance between two scalar paths equals the continuous Frechet distance
 between their completed graphs under the max(time, value) ground metric:
 a pair of strong parametric representations with a common parameter is
 exactly a pair of monotone traversals of the two graphs.  That distance is
-computed by bisection over a free-space reachability sweep, which yields a
-certified upper endpoint within a resolution-controlled gap of the true
-infimum.  Radii well below the graphs' sup and inf gaps, or well above a
-known upper end such as the J1 distance, are answered without a sweep.
+computed by bisection over a free-space reachability sweep, which yields an
+upper end within a resolution-controlled gap of the true infimum, up to the
+kernel's rounding of at most 1e-9 * max(1, |values|).  Radii well below the
+graphs' sup and inf gaps, or well above a known upper end such as the J1
+distance, are answered without a sweep.
 
 Paths are immutable after construction and every operation here is a pure
 function, safe for concurrent use.
@@ -189,7 +190,8 @@ def _paths_identical(x, y):
 
 @dataclass(frozen=True)
 class M1Result:
-    """Bisection output: certified bracket around the true distance."""
+    """Bisection output: a bracket around the true distance, exact up to
+    the kernel's rounding (at most 1e-9 * max(1, |values|))."""
 
     value: float
     lower: float
@@ -230,12 +232,12 @@ def _settled_bracket(pv, qv, upper):
     infeasible and radii above the second feasible, without a sweep.
 
     The values of a completed graph span its path's [inf, sup], so every
-    alignment pays max(|sup x - sup y|, |inf x - inf y|); ``upper`` is a
-    certified upper end of M1.  Both bounds move outward by 1e-9 times the
-    largest magnitude the kernel computes with (the unit time span and the
-    values of both graphs).  Its window expressions round by a few ulps of
+    alignment pays max(|sup x - sup y|, |inf x - inf y|); ``upper`` is an
+    upper end of M1 up to rounding.  Both bounds move outward by 1e-9 times
+    the largest magnitude the kernel computes with (the unit time span and
+    the values of both graphs).  Its window expressions round by a few ulps of
     that magnitude, so a settled answer is the one the kernel would give
-    (``notes/decisions.md``, "Bisection: certified bounds settle
+    (``notes/decisions.md``, "Bisection: known bounds settle
     decisions").
     """
     p_sup, p_inf = float(pv.max()), float(pv.min())
@@ -246,10 +248,11 @@ def _settled_bracket(pv, qv, upper):
 
 
 def m1_distance_detailed(x, y, resolution=4096, upper=np.inf):
-    """Strong M1 distance of scalar paths with its certified bracket.
+    """Strong M1 distance of scalar paths with its bisection bracket, whose
+    upper end ``value`` holds up to the kernel's rounding (:class:`M1Result`).
 
-    ``upper`` is a certified upper end of the distance, such as
-    :func:`j1_distance` of the same step paths (M1 <= J1).  It and the
+    ``upper`` is an upper end of the distance up to the same rounding, such
+    as :func:`j1_distance` of the same step paths (M1 <= J1).  It and the
     graphs' sup and inf gaps settle bisection radii well outside them
     without a kernel call; they change no midpoint and no returned bit.
     """
@@ -280,7 +283,8 @@ def m1_distance_detailed(x, y, resolution=4096, upper=np.inf):
 
 
 def m1_distance(x, y, resolution=4096):
-    """Strong M1 distance (certified upper endpoint, <= uniform distance)."""
+    """Strong M1 distance: an upper end up to the kernel's rounding (at most
+    1e-9 * max(1, |values|)), and <= uniform distance."""
     return m1_distance_detailed(x, y, resolution).value
 
 
@@ -380,21 +384,6 @@ def monotone_m1_distance(x, y):
     yq_t = np.interp(gq, tau_q, qt)
     yq_v = np.interp(gq, tau_q, qv)
     return float(np.maximum(np.abs(xp_t - yq_t), np.abs(xp_v - yq_v)).max())
-
-
-def save_path_csv(path, fileobj_or_name):
-    """Serialize as ``# kind=... d=...`` header plus ``t,v1[,v2]`` rows."""
-    own = isinstance(fileobj_or_name, (str, bytes))
-    f = open(fileobj_or_name, "w") if own else fileobj_or_name
-    try:
-        f.write(f"# kind={path.kind} d={path.dim}\n")
-        for i in range(path.times.size):
-            row = [format(path.times[i], ".17g")]
-            row += [format(v, ".17g") for v in path.values[i]]
-            f.write(",".join(row) + "\n")
-    finally:
-        if own:
-            f.close()
 
 
 def load_path_csv(fileobj_or_name):

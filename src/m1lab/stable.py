@@ -1,7 +1,9 @@
 """Stable Levy limits of the partial-sum pair: characteristic constants from
-cluster laws, series simulation from Poisson points, and two independent
-evaluation routes for the limit law (closed-form stable characteristic
-function vs numerical quadrature of the jump-measure exponent).
+cluster laws, the stable parameters (c, beta, tau) of the limit law in
+closed form, exact stable variates, and series simulation from Poisson
+points.  The quadrature of the jump-measure exponent, the independent
+route that checks the closed form, is a test oracle
+(``tests/stable_oracle.py``).
 
 The limit pair is driven by a Poisson process on [0,1] x (0,inf) with
 intensity Leb x nu, nu(dy) = theta * alpha * y^{-alpha-1} dy.  Each point
@@ -36,10 +38,6 @@ SERIES_BLOCK = 128
 
 
 class StableError(ValueError):
-    pass
-
-
-class QuadratureError(StableError):
     pass
 
 
@@ -152,20 +150,20 @@ def gamma2_for(alpha, theta, r2):
     return base - alpha / (2.0 - alpha)
 
 
-def triple_from_cluster(alpha, theta, cluster, p=None, q=None):
+def triple_from_cluster(alpha, theta, cluster, p=None):
     """Characteristic constants from a cluster mark law.
 
     c_plus = E[(sum eta)^alpha; sum > 0], c_minus the mirror image, r2 =
     E(sum eta^2)^{alpha/2}, evaluated exactly on the deterministic shape.
     When p is omitted it is recovered from the marginal-consistency identity
-    p - q = theta * E[sum_j sign(eta_j)|eta_j|^alpha].
+    p - q = theta * E[sum_j sign(eta_j)|eta_j|^alpha]; q = 1 - p.
     """
     c_plus, c_minus, r2, _mean_sum, _mean_sq, signed = cluster.exact_sum_moments(alpha)
     if p is None:
         diff = theta * signed
         p = (1.0 + diff) / 2.0
         q = (1.0 - diff) / 2.0
-    elif q is None:
+    else:
         q = 1.0 - p
     flagged = alpha == 1.0
     g1 = gamma1_for(alpha, theta, c_plus, c_minus, p, q)
@@ -182,47 +180,6 @@ def triple_from_cluster(alpha, theta, cluster, p=None, q=None):
         q=q,
         gamma1_flagged=flagged,
     )
-
-
-def levy_exponent(z, triple):
-    """log E[exp(i z V(1))] by quadrature of the jump-measure integral.
-
-    V has characteristic triple (0, nu1, gamma1): the exponent is
-    i*gamma1*z + integral of (e^{izx} - 1 - izx 1{|x|<=1}) nu1(dx),
-    nu1(dx) = theta*alpha*(c+ 1_{x>0} + c- 1_{x<0}) |x|^{-alpha-1} dx.
-    Split at |x| = 1; the oscillatory tails use weighted quadrature and the
-    constant tail integrates to 1/alpha in closed form.
-    """
-    if z == 0.0:
-        return 0.0 + 0.0j
-    a = triple.alpha
-    w = abs(float(z))
-    ap = triple.theta * a * triple.c_plus
-    am = triple.theta * a * triple.c_minus
-
-    def _quad(f, lo, hi, **kw):
-        import warnings
-
-        from scipy import integrate
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(
-                f, lo, hi, limit=800, epsabs=1e-11, epsrel=1e-11, **kw
-            )
-        if err > 1e-6 * (1.0 + abs(val)):
-            raise QuadratureError(
-                f"quadrature residual {err:.2e} exceeds tolerance at z={z}"
-            )
-        return val
-
-    i1c = _quad(lambda x: (math.cos(w * x) - 1.0) * x ** (-a - 1.0), 0.0, 1.0)
-    i1s = _quad(lambda x: (math.sin(w * x) - w * x) * x ** (-a - 1.0), 0.0, 1.0)
-    i2c = _quad(lambda x: x ** (-a - 1.0), 1.0, np.inf, weight="cos", wvar=w)
-    i2s = _quad(lambda x: x ** (-a - 1.0), 1.0, np.inf, weight="sin", wvar=w)
-    re = (ap + am) * (i1c + i2c - 1.0 / a)
-    im = math.copysign(1.0, z) * (ap - am) * (i1s + i2s) + triple.gamma1 * z
-    return complex(re, im)
 
 
 def stable_params(triple):
@@ -244,8 +201,8 @@ def stable_params(triple):
         c    = theta (c+ + c-) pi / 2
         tau  = gamma1 + theta (c+ - c-) (1 - gamma_E)
 
-    with gamma_E Euler's constant.  :func:`levy_exponent` evaluates the
-    same exponent by quadrature, an independent route the tests compare.
+    with gamma_E Euler's constant.  ``tests/stable_oracle.py`` evaluates
+    the same exponent by quadrature, an independent route the tests compare.
     """
     cp, cm = triple.c_plus, triple.c_minus
     tot = cp + cm
@@ -260,22 +217,6 @@ def stable_params(triple):
         c = triple.theta * tot * math.gamma(1.0 - a) * math.cos(math.pi * a / 2.0)
         tau = triple.gamma1 - _compensator_integral(triple)
     return StableParams(alpha=a, c=c, beta=beta, tau=tau)
-
-
-def charfn_stable(z, params):
-    """Characteristic function of the stable law, exact closed form."""
-    z_arr = np.asarray(z, dtype=float)
-    az = np.abs(z_arr)
-    sgn = np.sign(z_arr)
-    a = params.alpha
-    if a == 1.0:
-        with np.errstate(divide="ignore"):
-            logs = np.where(az > 0.0, np.log(np.where(az > 0.0, az, 1.0)), 0.0)
-        inner = 1.0 + 1j * params.beta * (2.0 / math.pi) * sgn * logs
-    else:
-        inner = 1.0 - 1j * params.beta * sgn * math.tan(math.pi * a / 2.0)
-    out = np.exp(1j * params.tau * z_arr - params.c * az**a * inner)
-    return out if z_arr.ndim else complex(out)
 
 
 def cms_sampler(params, m, seed):

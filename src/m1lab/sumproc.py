@@ -1,14 +1,14 @@
 """Partial-sum path functionals of a sample: the partial sums S_k and Q_k
 of X/a_n and its square (formed only in :func:`partial_sums`), their joint
 step-path pair, its truncated-mean centering constants, the self-normalized
-path S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2), and block-collapsed
+values S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2), and block-collapsed
 paths.
 
-The self-normalized path is exactly scale invariant: in real arithmetic
+The self-normalized values are exactly scale invariant: in real arithmetic
 S/V does not see a positive rescaling of the data, and in floating point
 the invariance is bitwise for power-of-two factors (multiplication by 2^k
 commutes with rounding through sums, squares, sqrt and the final division).
-Negating the data negates the path bitwise for the same reason.
+Negating the data negates the values bitwise for the same reason.
 """
 
 import functools
@@ -130,7 +130,7 @@ def grid_index(n, t_grid):
 
 def self_normalized_at(data, t_grid):
     """Values S_{floor(nt)} / V_n on ``t_grid``, or at every t = k/n when it
-    is None (no path object); V_n^2 is the last Q of :func:`partial_sums`."""
+    is None; V_n^2 is the last Q of :func:`partial_sums`."""
     s, q = partial_sums(data, 1.0)
     v2 = float(q[-1])
     if v2 == 0.0:
@@ -138,17 +138,6 @@ def self_normalized_at(data, t_grid):
     if t_grid is not None:
         s = s[grid_index(s.size - 1, t_grid)]
     return s / np.sqrt(v2)
-
-
-def self_normalized_path(data, t_grid=None):
-    """Step path t -> S_{floor(nt)} / V_n with V_n = sqrt(sum X_k^2)."""
-    if t_grid is None:
-        s = self_normalized_at(data, None)
-        return CadlagPath(np.arange(s.size) / (s.size - 1), s, STEP)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0.0:
-        t_grid = np.concatenate([[0.0], t_grid])
-    return CadlagPath(t_grid, self_normalized_at(data, t_grid), STEP)
 
 
 def collapse_clusters(path, scheme):

@@ -139,12 +139,12 @@ class TailDiagnostics:
     sign_switch_violations: int = 0
     mixing_assumed: bool = True
 
-    def jsonl_records(self, replicate=0):
-        """One record per (replicate, diagnostic), with the flat field names
-        alpha_hat / an_hat / theta_hat / m / prob / violations."""
+    def jsonl_records(self):
+        """One record per diagnostic, with the flat field names alpha_hat /
+        an_hat / theta_hat / m / prob / violations; ``replicate`` is 0."""
         recs = [
             {
-                "replicate": replicate,
+                "replicate": 0,
                 "diagnostic": "tail_summary",
                 "alpha_hat": self.alpha_hat,
                 "an_hat": self.an_hat,
@@ -152,14 +152,14 @@ class TailDiagnostics:
                 "mixing_assumed": self.mixing_assumed,
             },
             {
-                "replicate": replicate,
+                "replicate": 0,
                 "diagnostic": "sign_switch",
                 "violations": self.sign_switch_violations,
             },
         ]
         for m, prob in sorted(self.anticluster_curve.items()):
             recs.append(
-                {"replicate": replicate, "diagnostic": "anticluster", "m": m, "prob": prob}
+                {"replicate": 0, "diagnostic": "anticluster", "m": m, "prob": prob}
             )
         return recs
 

@@ -20,7 +20,7 @@ from scipy.stats import ks_2samp
 
 from m1lab import lab
 from m1lab.clusters import ClusterDistribution
-from m1lab.config import default_config, replace_config
+from m1lab.config import parse_config, replace_config
 from m1lab.models import (
     GarchSpec,
     LinearSpec,
@@ -40,18 +40,20 @@ from m1lab.paths import (
     uniform_distance,
 )
 from m1lab.stable import (
-    charfn_stable,
     cms_sampler,
-    levy_exponent,
     levy_marginal_draws,
     stable_params,
     triple_from_cluster,
 )
-from m1lab.sumproc import build_Ln, self_normalized_path
+from m1lab.sumproc import build_Ln, self_normalized_at
 from conftest import make_step_path
+from stable_oracle import charfn_stable, levy_exponent
 from suite_cfg import SUITE_CFG
 
-TOL = default_config().tolerances
+TOL = parse_config("")[0].tolerances
+# the acceptance tests' own bounds: no check of m1lab reads them
+CHARFN_REL = 1e-3
+METRIC_TRIANGLE_SLACK = 1e-6
 
 
 def _report(ok, label):
@@ -73,7 +75,7 @@ def test_criterion_01_metric_kernel():
         ok &= m1_distance(x, x) == 0.0
         dyz = m1_distance_detailed(y, z)
         dxz = m1_distance_detailed(x, z)
-        slack = TOL["metric_triangle_slack"] + dxy.tol + dyz.tol + dxz.tol
+        slack = METRIC_TRIANGLE_SLACK + dxy.tol + dyz.tol + dxz.tol
         ok &= dxz.value <= dxy.value + dyz.value + slack
         ok &= dxy.value <= j1_distance(x, y) + dxy.tol + 1e-12
         ok &= dxy.value <= uniform_distance(x, y)
@@ -117,7 +119,7 @@ def test_criterion_03_karamata(alpha, u):
     """Exact finite-n truncated moments within 5% of their Karamata limits."""
     t0 = time.perf_counter()
     cfg = replace_config(
-        default_config(),
+        parse_config("")[0],
         karamata_alphas=(alpha,),
         karamata_u_grid=(u,),
         karamata_n=10**6,
@@ -141,7 +143,7 @@ def test_criterion_04_slutsky_bound():
     """Truncation-gap probabilities below the analytic bound on a 3x3 grid."""
     t0 = time.perf_counter()
     cfg = replace_config(
-        default_config(),
+        parse_config("")[0],
         slutsky_alpha=0.5,
         slutsky_n=10**4,
         slutsky_replicates=500,
@@ -172,7 +174,7 @@ def test_criterion_05_exponent_consistency():
             rhs = complex(charfn_stable(z, params))
             rel = abs(lhs - rhs) / abs(rhs)
             worst = max(worst, rel)
-            ok &= rel <= TOL["charfn_rel"]
+            ok &= rel <= CHARFN_REL
     elapsed = time.perf_counter() - t0
     assert _report(
         ok and elapsed < 60.0,
@@ -202,7 +204,7 @@ def test_criterion_07_selfnorm_convergence():
     """Self-normalized sums against simulated ratio draws at n = 1e4."""
     t0 = time.perf_counter()
     base = replace_config(
-        default_config(), n_grid=(10000,), replicates=2000, limit_draws=2000
+        parse_config("")[0], n_grid=(10000,), replicates=2000, limit_draws=2000
     )
     iid_cfg = replace_config(base, model=LinearSpec((1.0,), RegVarSpec(0.8, p=1.0)))
     res = lab.run_selfnorm_convergence(iid_cfg)
@@ -226,7 +228,7 @@ def test_criterion_07_selfnorm_convergence():
 def test_criterion_08_theta_recovery():
     """Blocks estimator within 0.08 of the analytic extremal index."""
     t0 = time.perf_counter()
-    cfg = replace_config(default_config(), theta_n=10**5, theta_replicates=50)
+    cfg = replace_config(parse_config("")[0], theta_n=10**5, theta_replicates=50)
     res = lab.run_theta_recovery(cfg)
     ok = res.verdicts["within_tolerance"]
     for row in res.rows:
@@ -265,16 +267,16 @@ def test_criterion_10_exact_invariances():
     # scale invariance, bitwise for float-exact (power-of-two) factors
     for _ in range(50):
         x = rng.standard_normal(100) * (1.0 - rng.random(100)) ** (-1.0 / 1.2)
-        p = self_normalized_path(x)
-        ok &= np.array_equal(p.values, self_normalized_path((2.0**12) * x).values)
-        ok &= np.array_equal(p.values, self_normalized_path(0.25 * x).values)
-        ok &= np.array_equal(p.values, -self_normalized_path(-x).values)
+        p = self_normalized_at(x, None)
+        ok &= np.array_equal(p, self_normalized_at((2.0**12) * x, None))
+        ok &= np.array_equal(p, self_normalized_at(0.25 * x, None))
+        ok &= np.array_equal(p, -self_normalized_at(-x, None))
     # sup bound and nondecreasing second coordinate on 1e4 samples
     sizes = rng.integers(1, 100, size=10**4)
     for n in sizes:
         x = rng.standard_normal(n) * (1.0 - rng.random(n)) ** (-1.0)
-        p = self_normalized_path(x)
-        ok &= float(np.max(np.abs(p.values))) <= math.sqrt(n) + 1e-12
+        p = self_normalized_at(x, None)
+        ok &= float(np.max(np.abs(p))) <= math.sqrt(n) + 1e-12
     pair = build_Ln(rng.standard_normal(2000), 1.0)
     ok &= bool(np.all(np.diff(pair.l2.values[:, 0]) >= 0.0))
     elapsed = time.perf_counter() - t0

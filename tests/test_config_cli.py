@@ -9,9 +9,10 @@ import pytest
 
 import m1lab
 from m1lab.cli import main
-from m1lab.config import ConfigError, default_config, parse_config, replace_config
+from m1lab.config import ConfigError, parse_config, replace_config
 from m1lab.models import LinearSpec, RegVarSpec
-from m1lab.paths import CadlagPath, save_path_csv
+from m1lab.paths import CadlagPath
+from conftest import save_path_csv
 
 
 class TestParse:
@@ -78,11 +79,11 @@ class TestParse:
     def test_programmatic_config_validated(self):
         # keyword overrides go through the same range checks as parsed keys
         with pytest.raises(ConfigError, match="key 'run.karamata_alphas'"):
-            default_config(karamata_alphas=(1.0,))
+            replace_config(parse_config("")[0], karamata_alphas=(1.0,))
 
     def test_digest_stable_and_sensitive(self):
-        a = default_config()
-        b = default_config()
+        a = parse_config("")[0]
+        b = parse_config("")[0]
         assert a.digest() == b.digest()
         c = replace_config(a, seed=1)
         assert c.digest() != a.digest()

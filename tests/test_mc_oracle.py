@@ -15,7 +15,7 @@ import pytest
 import mc_oracle as oracle
 from m1lab import lab, stable
 from m1lab.clusters import ClusterDistribution
-from m1lab.config import default_config, replace_config
+from m1lab.config import parse_config, replace_config
 from m1lab.models import LinearSpec, RegVarSpec, _pareto_draws, seeded_rng
 
 
@@ -42,7 +42,7 @@ class TestLevyMarginalDraws:
     )
     def test_draws_equal_former_gather(self, spec):
         _spec, _alpha, _theta, cluster, triple = lab._analytic_setup(
-            replace_config(default_config(), model=spec)
+            replace_config(parse_config("")[0], model=spec)
         )
         t_grid = [0.0, 1e-4, 0.25, 0.5, 1.0]
         got = stable.levy_marginal_draws(triple, cluster, t_grid, 300, n_pts=1000, seed=5)
@@ -65,7 +65,7 @@ SERIES_CASES = [
 
 def _series_setup(spec):
     _spec, _alpha, _theta, cluster, triple = lab._analytic_setup(
-        replace_config(default_config(), model=spec)
+        replace_config(parse_config("")[0], model=spec)
     )
     return cluster, triple
 

@@ -202,10 +202,11 @@ class TestClusterLaw:
 class TestGarch:
     def test_degenerate_collapses(self):
         with pytest.warns(UserWarning):
-            s = sample_garch(GarchSpec(4.0, 0.0, 0.0), 100, seed=2, burnin=10)
+            s = sample_garch(GarchSpec(4.0, 0.0, 0.0), 100, seed=2)
+        # the default burn-in is 1000 steps at a1 = b1 = 0
         rng = np.random.default_rng(np.uint64(2))
-        z = rng.standard_normal(110)
-        assert np.allclose(s.values, 2.0 * z[10:])
+        z = rng.standard_normal(1100)
+        assert np.allclose(s.values, 2.0 * z[1000:])
 
     def test_stationary_mean(self):
         # E sigma^2 = omega / (1 - a1 - b1) when a1 + b1 < 1
@@ -262,12 +263,13 @@ class TestSquaredGarch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s = sample_squared_garch(
-                SquaredGarchSpec(GarchSpec(2.0, 0.0, 0.0)), 50, seed=3, burnin=5
+                SquaredGarchSpec(GarchSpec(2.0, 0.0, 0.0)), 50, seed=3
             )
         assert np.allclose(s.values[:, 1], 2.0)
+        # the default burn-in is 1000 steps at a1 = b1 = 0
         rng = np.random.default_rng(np.uint64(3))
-        z = rng.standard_normal(55)
-        assert np.allclose(s.values[:, 0], 2.0 * z[5:] ** 2)
+        z = rng.standard_normal(1050)
+        assert np.allclose(s.values[:, 0], 2.0 * z[1000:] ** 2)
 
     def test_coordinates_cojump(self):
         # exceedances of X^2 imply a large sigma^2 or a noise spike

@@ -18,15 +18,14 @@ from m1lab.stable import (
     CharTriple,
     StableError,
     _series_blocks,
-    charfn_stable,
     cms_sampler,
     gamma1_for,
-    levy_exponent,
     levy_marginal_draws,
     simulate_levy_pair,
     stable_params,
     triple_from_cluster,
 )
+from stable_oracle import charfn_stable, levy_exponent
 
 
 def one_mark(p):

@@ -5,7 +5,6 @@ import pytest
 
 from m1lab.lab import _partial_sum_marginals
 from m1lab.models import LinearSpec, RegVarSpec, an_theoretical, sample_model
-from m1lab.paths import eval_path
 from m1lab.sumproc import (
     CenteringConstants,
     JointPathPair,
@@ -15,7 +14,6 @@ from m1lab.sumproc import (
     collapse_clusters,
     save_joint_csv,
     self_normalized_at,
-    self_normalized_path,
 )
 from m1lab.tailstats import BlockingScheme
 
@@ -120,31 +118,28 @@ class TestBuildLn:
 
 class TestSelfNormalized:
     def test_single_point_sign(self):
-        p = self_normalized_path([3.0])
-        assert eval_path(p, 1.0)[0] == 1.0
-        q = self_normalized_path([-3.0])
-        assert eval_path(q, 1.0)[0] == -1.0
+        assert self_normalized_at([3.0], None)[-1] == 1.0
+        assert self_normalized_at([-3.0], None)[-1] == -1.0
 
     def test_bitwise_scale_invariance_pow2(self, rng):
         for _ in range(20):
             x = rng.standard_normal(200) * (1.0 - rng.random(200)) ** (-1.0 / 1.2)
-            base = self_normalized_path(x)
+            base = self_normalized_at(x, None)
             for lam in (2.0**10, 2.0**-20, 0.5, 4.0):
-                scaled = self_normalized_path(lam * x)
-                assert np.array_equal(base.values, scaled.values)
+                assert np.array_equal(base, self_normalized_at(lam * x, None))
 
     def test_general_scale_invariance_within_ulps(self, rng):
         x = rng.standard_normal(300)
-        a = self_normalized_path(x).values
-        b = self_normalized_path(1e6 * x).values
+        a = self_normalized_at(x, None)
+        b = self_normalized_at(1e6 * x, None)
         # non-power-of-two factors perturb each input by half an ulp; the
         # partial sums then agree to a few ulps rather than bitwise
         assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) <= 1e-15
 
     def test_antisymmetry_bitwise(self, rng):
         x = rng.standard_normal(257)
-        a = self_normalized_path(x).values
-        b = self_normalized_path(-x).values
+        a = self_normalized_at(x, None)
+        b = self_normalized_at(-x, None)
         assert np.array_equal(a, -b)
 
     def test_sup_bound_cauchy_schwarz(self, rng):
@@ -152,37 +147,35 @@ class TestSelfNormalized:
         for _ in range(200):
             n = int(rng.integers(1, 64))
             x = rng.standard_normal(n) * (1.0 - rng.random(n)) ** (-1.0)
-            p = self_normalized_path(x)
-            assert np.max(np.abs(p.values)) <= math.sqrt(n) + 1e-12
+            assert np.max(np.abs(self_normalized_at(x, None))) <= math.sqrt(n) + 1e-12
 
     def test_zero_data_rejected(self):
         with pytest.raises(SumProcessError):
-            self_normalized_path(np.zeros(10))
+            self_normalized_at(np.zeros(10), None)
 
     def test_grid_evaluation_matches_path(self, rng):
+        # the grid values are the values at every k/n, read at k = floor(n t)
         x = rng.standard_normal(97)
         grid = np.array([0.25, 0.5, 0.75, 1.0])
-        p = self_normalized_path(x)
-        assert np.allclose(
-            self_normalized_at(x, grid), np.atleast_2d(eval_path(p, grid))[:, 0]
+        every = self_normalized_at(x, None)
+        assert np.array_equal(
+            self_normalized_at(x, grid), every[np.floor(97 * grid).astype(int)]
         )
 
 
 class TestCollapse:
     def test_identity_when_rn_one(self, rng):
-        x = rng.standard_normal(50)
-        p = self_normalized_path(x)
+        p = build_Ln(rng.standard_normal(50), 1.0).l1
         assert collapse_clusters(p, BlockingScheme(1)) is p
 
     def test_full_collapse(self, rng):
-        x = rng.standard_normal(50)
-        p = self_normalized_path(x)
+        p = build_Ln(rng.standard_normal(50), 1.0).l1
         c = collapse_clusters(p, BlockingScheme(50))
         assert np.array_equal(c.times, [0.0, 1.0])
         assert c.values[1, 0] == p.values[-1, 0]
 
     def test_rn_exceeds_n(self, rng):
-        p = self_normalized_path(rng.standard_normal(10))
+        p = build_Ln(rng.standard_normal(10), 1.0).l1
         with pytest.raises(SumProcessError):
             collapse_clusters(p, BlockingScheme(11))
 

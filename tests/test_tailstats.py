@@ -257,7 +257,8 @@ class TestDiagnosticsBundle:
     def test_jsonl_fields(self):
         s = sample_linear(LinearSpec((1.0,), RegVarSpec(1.0, p=1.0)), 10**4, seed=61)
         diag = diagnose(s.values, BlockingScheme.from_exponent(10**4))
-        recs = diag.jsonl_records(replicate=3)
+        recs = diag.jsonl_records()
+        assert all(r["replicate"] == 0 for r in recs)
         names = {r["diagnostic"] for r in recs}
         assert {"tail_summary", "sign_switch", "anticluster"} <= names
         summary = next(r for r in recs if r["diagnostic"] == "tail_summary")
